@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import expit
 
-from .grid import _convolve, _correlate, _correlate_kernel, _check_kernel
+from .grid import _Spectral, _check_kernel, _convolve, _correlate, _correlate_kernel, _use_fft
 
 
 class Node:
@@ -139,7 +139,10 @@ class Tape:
 
     def conv2d_same(self, image: Node, kernel: Node) -> Node:
         """Zero-padded same-size cross-correlation.  image (H,W) or (N,H,W);
-        kernel (kh,kw) shared across the batch or (N,kh,kw) per sample."""
+        kernel (kh,kw) shared across the batch or (N,kh,kw) per sample.
+        Kernels that ``_use_fft`` sends to the FFT path keep their input and
+        kernel spectra for the vjp; a shared kernel's gradient is summed over
+        the batch in frequency space."""
         image, kernel = self._as_node(image), self._as_node(kernel)
         xv, kv = image.value, kernel.value
         if xv.ndim not in (2, 3) or kv.ndim not in (2, 3):
@@ -147,13 +150,22 @@ class Tape:
         if kv.ndim == 3 and (xv.ndim != 3 or xv.shape[0] != kv.shape[0]):
             raise ValueError(f"per-sample kernels {kv.shape} need matching batch {xv.shape}")
         _check_kernel(xv.shape, kv.shape[-2:])
+        shared = kv.ndim == 2 and xv.ndim == 3
+        if _use_fft(kv.shape, "auto"):
+            plan = _Spectral(xv.shape, kv.shape)
+            x_hat, k_hat = plan.rfft(xv), plan.kernel_rfft(kv)
+
+            def spectral_vjp(g):  # one transform of g serves both gradients
+                g_hat = plan.rfft(g)
+                cross = g_hat.conj() * x_hat
+                return plan.image(g_hat * k_hat), plan.lags(cross.sum(axis=0) if shared else cross)
+
+            return self._push(Node(plan.image(x_hat * k_hat.conj()), (image, kernel), spectral_vjp))
 
         def vjp(g):
             gx = _convolve(g, kv)
             gk = _correlate_kernel(xv, g, kv.shape[-2:])
-            if kv.ndim == 2 and xv.ndim == 3:
-                gk = gk.sum(axis=0)
-            return gx, gk
+            return gx, gk.sum(axis=0) if shared else gk
 
         return self._push(Node(_correlate(xv, kv), (image, kernel), vjp))
 

@@ -3,8 +3,13 @@ evaluation, preprocessing.
 
 All commands are reproducible: outputs are a pure function of (inputs,
 resolved config, seed); manifests carry no timestamps so reruns are
-byte-identical.  `--threads 1` pins the numeric libraries to one thread for
-the deterministic reference path (set before numpy is first imported).
+byte-identical.  `--threads N` sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS to N where they are unset.  The numeric libraries read those
+variables once, when numpy is first imported, so the flag only works on a
+fresh process (the `thresholdyn` command, `python -m thresholdyn.cli`).  It
+cannot take effect when `main()` runs in a process that has already imported
+numpy, or for a variable the environment already sets to another value; a
+one-line warning on stderr then says so.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ log = logging.getLogger("thresholdyn")
 DATASET_MANIFEST_VERSION = 1
 
 _SECTIONS = ("dataset", "model", "train", "eval", "io", "preprocess")
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 _MODEL_DEFAULTS = {
     "kind": "mbo",
@@ -275,7 +281,7 @@ def _load_any_checkpoint(path: Path):
     from . import mbonet, metanet
 
     manifest = json.loads((Path(path) / "manifest.json").read_text())
-    kind = manifest.get("kind")
+    kind = manifest.get("kind") if isinstance(manifest, dict) else None
     if kind == "mbo":
         return mbonet.load_checkpoint(path), "mbo"
     if kind == "meta":
@@ -444,6 +450,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _threads_warning(threads: int) -> str | None:
+    """The warning for a ``--threads`` value this process cannot apply, if any."""
+    if "numpy" in sys.modules:
+        return f"warning: --threads {threads} has no effect: numpy is already loaded"
+    held = [f"{var}={os.environ[var]}" for var in _THREAD_VARS
+            if os.environ.get(var, str(threads)) != str(threads)]
+    if held:
+        return (f"warning: --threads {threads} does not override {', '.join(held)} "
+                "from the environment")
+    return None
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _build_parser().parse_args(argv)
@@ -451,7 +469,10 @@ def main(argv=None) -> int:
         if args.threads < 1:
             print("error: --threads must be >= 1", file=sys.stderr)
             return 2
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        warning = _threads_warning(args.threads)
+        if warning:
+            print(warning, file=sys.stderr)
+        for var in _THREAD_VARS:
             os.environ.setdefault(var, str(args.threads))
     logging.basicConfig(
         level=os.environ.get("THRESHOLDYN_LOG", "WARNING").upper(),

@@ -22,10 +22,19 @@ from .autodiff import Node, Tape
 from .datagen import VideoSample, make_rng
 from .dynamics import HARD, DynParams, Video, rollout
 from .kernels import Kernel, gaussian
-from .mbonet import TrainConfig, TrainingDiverged
+from .mbonet import (
+    CHECKPOINT_FORMAT,
+    COUNT,
+    ODD_SIZE,
+    POSITIVE,
+    TrainConfig,
+    TrainingDiverged,
+    _manifest_field,
+    _read_manifest,
+    _read_payload,
+)
 from .optim import make_optimizer
 
-CHECKPOINT_FORMAT = 1
 INPUT_FRAMES = 4
 
 
@@ -285,25 +294,46 @@ def save_checkpoint(model: MetaModel, directory) -> Path:
     return directory
 
 
+def _weight_shapes(kernel_size: int, channels) -> dict[str, tuple[int, ...]]:
+    """The shape of every encoder tensor for this architecture."""
+    shapes, cin = {}, INPUT_FRAMES
+    for i, cout in enumerate(channels, start=1):
+        shapes[f"conv{i}_w"] = (cout, cin, 3, 3)
+        shapes[f"conv{i}_b"] = (cout,)
+        cin = cout
+    k2 = kernel_size * kernel_size
+    shapes.update(head_k_w=(k2, cin), head_k_b=(k2,), head_a_w=(1, cin), head_a_b=(1,))
+    return shapes
+
+
 def load_checkpoint(directory) -> MetaModel:
+    """Load a checkpoint whose tensor index matches the architecture its
+    manifest declares, with a finite payload."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("format_version") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"checkpoint format {manifest.get('format_version')} unsupported "
-            f"(expected {CHECKPOINT_FORMAT})"
-        )
-    if manifest.get("kind") != "meta":
-        raise ValueError(f"not a meta checkpoint: kind={manifest.get('kind')!r}")
-    raw = np.frombuffer((directory / "weights.bin").read_bytes(), dtype="<f8")
+    manifest = _read_manifest(directory, "meta")
+    k = _manifest_field(manifest, "kernel_size", *ODD_SIZE)
+    channels = _manifest_field(manifest, "channels", "a non-empty list of positive integers",
+                               lambda v: isinstance(v, list) and v and all(COUNT[1](c) for c in v))
+    tensors = _manifest_field(manifest, "tensors", "a list of {name, shape} entries",
+                              lambda v: isinstance(v, list) and all(
+                                  isinstance(e, dict) and set(e) == {"name", "shape"}
+                                  for e in v))
+    expected = _weight_shapes(k, channels)
+    names = [entry["name"] for entry in tensors]
+    if sorted(names, key=str) != sorted(expected):
+        raise ValueError(f"checkpoint tensors {names} do not match kernel_size {k} and "
+                         f"channels {channels}: expected {sorted(expected)}")
+    for entry in tensors:
+        if entry["shape"] != list(expected[entry["name"]]):
+            raise ValueError(f"checkpoint tensor {entry['name']!r} has shape {entry['shape']}, "
+                             f"expected {list(expected[entry['name']])}")
+    raw = _read_payload(directory / "weights.bin",
+                        sum(int(np.prod(shape)) for shape in expected.values()))
     weights, offset = {}, 0
-    for entry in manifest["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape))
-        weights[entry["name"]] = raw[offset : offset + size].reshape(shape).astype(np.float64)
+    for name in names:
+        size = int(np.prod(expected[name]))
+        weights[name] = raw[offset : offset + size].reshape(expected[name])
         offset += size
-    if offset != raw.size:
-        raise ValueError(f"weight payload has {raw.size} values, expected {offset}")
-    encoder = MetaEncoder(kernel_size=manifest["kernel_size"],
-                          channels=tuple(manifest["channels"]), weights=weights)
-    return MetaModel(encoder=encoder, steepness=manifest["s"], layers=manifest["layers"])
+    encoder = MetaEncoder(kernel_size=k, channels=tuple(channels), weights=weights)
+    return MetaModel(encoder=encoder, steepness=_manifest_field(manifest, "s", *POSITIVE),
+                     layers=_manifest_field(manifest, "layers", *COUNT))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thresholdyn.autodiff import GradcheckReport, Tape, gradcheck
-from thresholdyn.grid import conv2d_same
+from thresholdyn.grid import _convolve, _correlate, _correlate_kernel, _use_fft, conv2d_same
 
 
 def test_mse_of_identical_inputs_has_zero_gradient():
@@ -214,3 +214,52 @@ def test_relu_nudged_inputs_pass_gradcheck():
         return tape, loss, {"x": x}
 
     _fd_check(build, n_params=1)
+
+
+# ---- the spectral (FFT) path: kernels of area >= grid._FFT_KERNEL_AREA ----
+
+FFT_KERNEL = (17, 15)  # area 255
+
+
+def _rel(actual, expected):
+    return float(np.max(np.abs(actual - expected)) / np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("x_shape,k_shape", [
+    ((20, 20), FFT_KERNEL),                 # shared kernel, one frame
+    ((3, 20, 20), FFT_KERNEL),              # shared kernel over a batch
+    ((3, 20, 20), (3,) + FFT_KERNEL),       # per-sample kernels
+])
+def test_fft_path_matches_direct(x_shape, k_shape):
+    assert _use_fft(k_shape, "auto")
+    rng = np.random.default_rng(7)
+    x_val = rng.random(x_shape)
+    k_val = rng.normal(size=k_shape)
+    g = rng.normal(size=x_shape)
+    tape = Tape()
+    node = tape.conv2d_same(tape.leaf(x_val), tape.leaf(k_val))
+    gx, gk = node.vjp(g)
+    expected_gk = _correlate_kernel(x_val, g, k_shape[-2:], "direct")
+    if len(k_shape) == 2 and len(x_shape) == 3:
+        expected_gk = expected_gk.sum(axis=0)
+    assert _rel(node.value, _correlate(x_val, k_val, "direct")) <= 1e-12
+    assert _rel(gx, _convolve(g, k_val, "direct")) <= 1e-12
+    assert _rel(gk, expected_gk) <= 1e-12
+    assert gx.shape == x_shape and gk.shape == k_shape
+
+
+def build_fft_conv_mse(params, rng):
+    x_val = rng.random((2, 20, 20))
+    k_val = rng.normal(size=FFT_KERNEL) * 0.05
+    if params is not None:
+        x_val, k_val = params["x"], params["k"]
+    tape = Tape()
+    x = tape.leaf(x_val, param=True, name="x")
+    k = tape.leaf(k_val, param=True, name="k")
+    y = tape.sigmoid_threshold(tape.conv2d_same(x, k), tape.leaf(np.asarray(0.1)), s=5.0)
+    loss = tape.mse_loss(y, np.full((2, 20, 20), 0.5))
+    return tape, loss, {"x": x, "k": k}
+
+
+def test_gradcheck_fft_path():
+    _fd_check(build_fft_conv_mse, n_params=2)

@@ -230,3 +230,130 @@ def test_preprocess_fire_cli(tmp_path):
     video = load_video(out)
     counts = video.sum(axis=(1, 2))
     assert counts[0] < counts[1] < counts[2]
+
+
+# ---- malformed checkpoints: one `error:` line and exit 1 ----
+
+
+def _predict_errors(tmp_path, capsys, checkpoint) -> str:
+    from thresholdyn.ingest import save_video
+
+    frames = tmp_path / "frames"
+    save_video(np.zeros((4, 8, 8)), frames)
+    rc = main(["predict", "--checkpoint", str(checkpoint), "--frames", str(frames),
+               "--steps", "2", "--out", str(tmp_path / "pred")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+def _edit_manifest(checkpoint: Path, edit) -> None:
+    path = checkpoint / "manifest.json"
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _mbo_checkpoint(tmp_path) -> Path:
+    from thresholdyn.mbonet import MboModel, save_checkpoint
+
+    return save_checkpoint(MboModel.initialize(5), tmp_path / "ckpt")
+
+
+def _meta_checkpoint(tmp_path) -> Path:
+    from thresholdyn.metanet import MetaEncoder, MetaModel, save_checkpoint
+
+    encoder = MetaEncoder.initialize(5, channels=(2, 3, 3))
+    return save_checkpoint(MetaModel(encoder=encoder), tmp_path / "ckpt")
+
+
+@pytest.mark.parametrize("field", ["kernel_size", "raw_threshold", "s", "layers"])
+def test_predict_mbo_manifest_missing_field_errors(tmp_path, capsys, field):
+    ckpt = _mbo_checkpoint(tmp_path)
+    _edit_manifest(ckpt, lambda d: d.pop(field))
+    assert repr(field) in _predict_errors(tmp_path, capsys, ckpt)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("kernel_size", 4), ("kernel_size", "5"), ("raw_threshold", None), ("s", -1.0),
+    ("layers", 0), ("layers", True),
+])
+def test_predict_mbo_manifest_bad_field_errors(tmp_path, capsys, field, value):
+    ckpt = _mbo_checkpoint(tmp_path)
+    _edit_manifest(ckpt, lambda d: d.update({field: value}))
+    assert repr(field) in _predict_errors(tmp_path, capsys, ckpt)
+
+
+def test_predict_checkpoint_manifest_not_an_object_errors(tmp_path, capsys):
+    ckpt = _mbo_checkpoint(tmp_path)
+    (ckpt / "manifest.json").write_text("[1, 2]")
+    assert "kind" in _predict_errors(tmp_path, capsys, ckpt)
+
+
+@pytest.mark.parametrize("make", [_mbo_checkpoint, _meta_checkpoint])
+def test_predict_nan_payload_errors(tmp_path, capsys, make):
+    ckpt = make(tmp_path)
+    payload = next(ckpt.glob("*.bin"))
+    values = np.frombuffer(payload.read_bytes(), dtype="<f8").copy()
+    values[1] = np.nan
+    payload.write_bytes(values.tobytes())
+    assert "non-finite" in _predict_errors(tmp_path, capsys, ckpt)
+
+
+def _shape_of(name, shape):
+    def edit(data):
+        next(t for t in data["tensors"] if t["name"] == name)["shape"] = shape
+    return edit
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (_shape_of("conv2_w", [3, 3, 3, 3]), "conv2_w"),                 # wrong shape
+    (lambda d: d["tensors"].pop(0), "do not match"),                 # missing tensor
+    (lambda d: d["tensors"][0].update(name="conv9_w"), "do not match"),  # unknown name
+    (lambda d: d.update(channels=[2, 3]), "do not match"),           # channels disagree
+    (lambda d: d.update(kernel_size=7), "head_k_b"),                 # kernel_size disagrees
+    (lambda d: d.pop("channels"), "'channels'"),
+    (lambda d: d.update(tensors={"conv1_w": [2, 4, 3, 3]}), "'tensors'"),
+])
+def test_predict_meta_manifest_mismatch_errors(tmp_path, capsys, edit, needle):
+    ckpt = _meta_checkpoint(tmp_path)
+    _edit_manifest(ckpt, edit)
+    assert needle in _predict_errors(tmp_path, capsys, ckpt)
+
+
+# ---- --threads says when it cannot take effect ----
+
+
+def test_threads_warns_when_numpy_is_loaded(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    assert main(["--threads", "1", "gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
+    assert warnings == ["warning: --threads 1 has no effect: numpy is already loaded"]
+
+
+@pytest.mark.parametrize("preset,expected", [
+    ({}, ""),
+    ({"OMP_NUM_THREADS": "2"}, ""),
+    ({"OPENBLAS_NUM_THREADS": "3"},
+     "warning: --threads 2 does not override OPENBLAS_NUM_THREADS=3 from the environment"),
+])
+def test_threads_in_a_fresh_process(tmp_path, preset, expected):
+    import os
+    import subprocess
+    import sys
+
+    import thresholdyn
+
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")}
+    env.update(preset)
+    env["PYTHONPATH"] = str(Path(thresholdyn.__file__).parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "thresholdyn.cli", "--threads", "2", "eval",
+         "--pred", str(tmp_path / "none"), "--truth", str(tmp_path / "none"),
+         "--out", str(tmp_path / "r")],
+        env=env, capture_output=True, text=True, timeout=60, check=False)
+    assert proc.returncode == 1
+    warnings = [line for line in proc.stderr.splitlines() if line.startswith("warning")]
+    assert warnings == ([expected] if expected else [])

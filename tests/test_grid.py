@@ -2,8 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from thresholdyn.grid import conv2d_same, is_binary, measure
+from thresholdyn.grid import (
+    _convolve,
+    _correlate,
+    _correlate_kernel,
+    conv2d_same,
+    is_binary,
+    measure,
+)
 
 
 def conv_oracle(image, kernel):
@@ -99,3 +108,47 @@ def test_measure():
 def test_is_binary():
     assert is_binary(np.array([[0.0, 1.0], [1.0, 0.0]]))
     assert not is_binary(np.array([[0.0, 0.5]]))
+
+
+# ---- adjoint identities <A x, y> = <x, A^T y>, on both paths ----
+
+
+@st.composite
+def correlation_cases(draw):
+    """(x, kernel, y): one frame, a batch with a shared kernel, or a batch
+    with per-sample kernels; odd kernel sides up to the image's."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    kh = 2 * draw(st.integers(0, (h - 1) // 2)) + 1
+    kw = 2 * draw(st.integers(0, (w - 1) // 2)) + 1
+    layout = draw(st.sampled_from(("frame", "shared", "per_sample")))
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x_shape = (h, w) if layout == "frame" else (n, h, w)
+    k_shape = (n, kh, kw) if layout == "per_sample" else (kh, kw)
+    return rng.normal(size=x_shape), rng.normal(size=k_shape), rng.normal(size=x_shape)
+
+
+def _adjoint_tolerance(x, kernel, y):
+    # |<x * k, y>| <= |k|_1 |x|_2 |y|_2 bounds both sides of the identity
+    return 1e-12 * np.abs(kernel).sum() * np.linalg.norm(x) * np.linalg.norm(y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=correlation_cases(), method=st.sampled_from(("direct", "fft")))
+def test_convolve_is_the_image_adjoint_of_correlate(case, method):
+    x, kernel, y = case
+    lhs = np.vdot(_correlate(x, kernel, method), y)
+    rhs = np.vdot(x, _convolve(y, kernel, method))
+    assert abs(lhs - rhs) <= _adjoint_tolerance(x, kernel, y)
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=correlation_cases(), method=st.sampled_from(("direct", "fft")))
+def test_correlate_kernel_is_the_kernel_adjoint_of_correlate(case, method):
+    x, kernel, y = case
+    gk = _correlate_kernel(x, y, kernel.shape[-2:], method)
+    if kernel.ndim == 2 and x.ndim == 3:
+        gk = gk.sum(axis=0)  # a shared kernel collects every sample's lags
+    assert gk.shape == kernel.shape
+    lhs = np.vdot(_correlate(x, kernel, method), y)
+    assert abs(lhs - np.vdot(kernel, gk)) <= _adjoint_tolerance(x, kernel, y)
