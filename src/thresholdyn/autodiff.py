@@ -163,11 +163,11 @@ class Tape:
             return self._push(Node(plan.image(x_hat * k_hat.conj()), (image, kernel), spectral_vjp))
 
         def vjp(g):
-            gx = _convolve(g, kv)
+            gx = _convolve(g, kv, "direct")
             gk = _correlate_kernel(xv, g, kv.shape[-2:])
             return gx, gk.sum(axis=0) if shared else gk
 
-        return self._push(Node(_correlate(xv, kv), (image, kernel), vjp))
+        return self._push(Node(_correlate(xv, kv, "direct"), (image, kernel), vjp))
 
     def conv_layer(self, x: Node, w: Node, b: Node, stride: int = 1) -> Node:
         """Multichannel strided conv with zero padding (k-1)//2: x (N,Cin,H,W),

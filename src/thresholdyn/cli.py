@@ -8,8 +8,9 @@ MKL_NUM_THREADS to N where they are unset.  The numeric libraries read those
 variables once, when numpy is first imported, so the flag only works on a
 fresh process (the `thresholdyn` command, `python -m thresholdyn.cli`).  It
 cannot take effect when `main()` runs in a process that has already imported
-numpy, or for a variable the environment already sets to another value; a
-one-line warning on stderr then says so.
+numpy (unless all three variables already hold N), or for a variable the
+environment already sets to another value; a one-line warning on stderr then
+says so.
 """
 
 from __future__ import annotations
@@ -452,10 +453,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _threads_warning(threads: int) -> str | None:
     """The warning for a ``--threads`` value this process cannot apply, if any."""
+    want = str(threads)
     if "numpy" in sys.modules:
+        if all(os.environ.get(var) == want for var in _THREAD_VARS):
+            return None  # the environment already asks for this count
         return f"warning: --threads {threads} has no effect: numpy is already loaded"
     held = [f"{var}={os.environ[var]}" for var in _THREAD_VARS
-            if os.environ.get(var, str(threads)) != str(threads)]
+            if os.environ.get(var, want) != want]
     if held:
         return (f"warning: --threads {threads} does not override {', '.join(held)} "
                 "from the environment")

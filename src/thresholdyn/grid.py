@@ -84,8 +84,8 @@ def _flip(kernel):
 
 class _Spectral:
     """Real-FFT plan for same-size correlation of (..., H, W) images with odd
-    (kh, kw) kernels, shared by ``_correlate``, ``_correlate_kernel`` and the
-    tape's FFT path, which keeps the spectra for its vjp.
+    (kh, kw) kernels, shared by ``_correlate`` and the tape's FFT path, which
+    keeps the spectra for its vjp.
 
     Each axis is transformed at P = next_fast_len(H + kh - 1).  Kernels are
     transformed with their center moved to the origin, so with spectra X, G
@@ -153,18 +153,16 @@ def _convolve(x, kernel, method: str = "auto"):
     return _correlate(x, _flip(kernel), method)
 
 
-def _correlate_kernel(x, g, kernel_shape, method: str = "auto"):
+def _correlate_kernel(x, g, kernel_shape):
     """Lag-restricted correlation of x with g: the adjoint of _correlate with
     respect to the kernel argument.
 
     out[.., q] = sum_p g[.., p] * x[.., p + q - c] for q within kernel_shape.
     Returns one kernel per leading batch entry (caller sums for a shared
-    kernel).
+    kernel).  Direct summation only: the tape's FFT path reads the kernel
+    gradient from ``_Spectral.lags``.
     """
     kh, kw = kernel_shape
-    if _use_fft((kh, kw), method):
-        plan = _Spectral(x.shape, kernel_shape)
-        return plan.lags(plan.rfft(g).conj() * plan.rfft(x))
     pad = [(0, 0)] * (x.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)]
     xp = np.pad(x, pad)
     windows = sliding_window_view(xp, g.shape[-2:], axis=(-2, -1))

@@ -16,7 +16,6 @@ ground-truth kernel in `kernels` uses.
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +23,16 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit, logit
 
+from ._checkpoint import (
+    CHECKPOINT_FORMAT,
+    COUNT,
+    FINITE,
+    ODD_SIZE,
+    POSITIVE,
+    manifest_field,
+    read_manifest,
+    read_payload,
+)
 from .autodiff import Tape
 from .datagen import VideoSample, make_rng
 from .dynamics import HARD, DynParams, Video, rollout
@@ -31,7 +40,6 @@ from .grid import Grid, as_grid, _correlate
 from .kernels import Kernel, gaussian
 from .optim import make_optimizer
 
-CHECKPOINT_FORMAT = 1
 
 
 class TrainingDiverged(RuntimeError):
@@ -268,70 +276,13 @@ def save_checkpoint(model: MboModel, directory) -> Path:
     return directory
 
 
-def _read_manifest(directory: Path, kind: str) -> dict:
-    """A checkpoint's manifest, checked for format version and kind."""
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{directory}: checkpoint manifest is not a JSON object")
-    if manifest.get("format_version") != CHECKPOINT_FORMAT:
-        raise ValueError(
-            f"checkpoint format {manifest.get('format_version')} unsupported "
-            f"(expected {CHECKPOINT_FORMAT})"
-        )
-    if manifest.get("kind") != kind:
-        raise ValueError(f"not a {kind!r} checkpoint: kind={manifest.get('kind')!r}")
-    return manifest
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    if not (_is_int(value) or isinstance(value, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-# (description, test) pairs for _manifest_field
-ODD_SIZE = ("a positive odd integer", lambda v: _is_int(v) and v > 0 and v % 2 == 1)
-COUNT = ("a positive integer", lambda v: _is_int(v) and v > 0)
-FINITE = ("a finite number", _is_finite)
-POSITIVE = ("a positive finite number", lambda v: _is_finite(v) and v > 0)
-
-
-def _manifest_field(manifest: dict, key: str, expected: str, valid):
-    """manifest[key], or a ValueError naming the field when it is missing or
-    fails ``valid``."""
-    if key not in manifest:
-        raise ValueError(f"checkpoint manifest has no {key!r}")
-    value = manifest[key]
-    if not valid(value):
-        raise ValueError(f"checkpoint manifest {key!r} is {value!r}, expected {expected}")
-    return value
-
-
-def _read_payload(path: Path, count: int) -> np.ndarray:
-    """``count`` little-endian float64 values, all finite."""
-    data = path.read_bytes()
-    if len(data) != 8 * count:
-        raise ValueError(f"{path.name} holds {len(data)} bytes, expected {8 * count}")
-    values = np.frombuffer(data, dtype="<f8").astype(np.float64)
-    if not np.isfinite(values).all():
-        raise ValueError(f"{path.name} holds non-finite values")
-    return values
-
-
 def load_checkpoint(directory) -> MboModel:
     directory = Path(directory)
-    manifest = _read_manifest(directory, "mbo")
-    size = _manifest_field(manifest, "kernel_size", *ODD_SIZE)
+    manifest = read_manifest(directory, "mbo")
+    size = manifest_field(manifest, "kernel_size", *ODD_SIZE)
     return MboModel(
-        raw_kernel=_read_payload(directory / "kernel.bin", size * size).reshape(size, size),
-        raw_threshold=_manifest_field(manifest, "raw_threshold", *FINITE),
-        steepness=_manifest_field(manifest, "s", *POSITIVE),
-        layers=_manifest_field(manifest, "layers", *COUNT),
+        raw_kernel=read_payload(directory / "kernel.bin", size * size).reshape(size, size),
+        raw_threshold=manifest_field(manifest, "raw_threshold", *FINITE),
+        steepness=manifest_field(manifest, "s", *POSITIVE),
+        layers=manifest_field(manifest, "layers", *COUNT),
     )

@@ -18,24 +18,35 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit
 
-from .autodiff import Node, Tape
-from .datagen import VideoSample, make_rng
-from .dynamics import HARD, DynParams, Video, rollout
-from .kernels import Kernel, gaussian
-from .mbonet import (
+from ._checkpoint import (
     CHECKPOINT_FORMAT,
     COUNT,
     ODD_SIZE,
     POSITIVE,
-    TrainConfig,
-    TrainingDiverged,
-    _manifest_field,
-    _read_manifest,
-    _read_payload,
+    manifest_field,
+    read_manifest,
+    read_payload,
 )
+from .autodiff import Node, Tape
+from .datagen import VideoSample, make_rng
+from .dynamics import HARD, DynParams, Video, rollout
+from .kernels import Kernel, gaussian
+from .mbonet import TrainConfig, TrainingDiverged
 from .optim import make_optimizer
 
 INPUT_FRAMES = 4
+
+
+def _weight_shapes(kernel_size: int, channels) -> dict[str, tuple[int, ...]]:
+    """The shape of every encoder tensor for this architecture."""
+    shapes, cin = {}, INPUT_FRAMES
+    for i, cout in enumerate(channels, start=1):
+        shapes[f"conv{i}_w"] = (cout, cin, 3, 3)
+        shapes[f"conv{i}_b"] = (cout,)
+        cin = cout
+    k2 = kernel_size * kernel_size
+    shapes.update(head_k_w=(k2, cin), head_k_b=(k2,), head_a_w=(1, cin), head_a_b=(1,))
+    return shapes
 
 
 @dataclass
@@ -56,20 +67,16 @@ class MetaEncoder:
             raise ValueError("kernel_size must be odd")
         rng = make_rng(seed, 0xE0)
         enc = cls(kernel_size=kernel_size, channels=tuple(channels))
-        w = enc.weights
-        cin = INPUT_FRAMES
-        for i, cout in enumerate(enc.channels, start=1):
-            bound = 1.0 / np.sqrt(cin * 9)
-            w[f"conv{i}_w"] = rng.uniform(-bound, bound, size=(cout, cin, 3, 3))
-            w[f"conv{i}_b"] = rng.uniform(-bound, bound, size=(cout,))
-            cin = cout
-        feat = enc.channels[-1]
-        bound = 1.0 / np.sqrt(feat)
-        k2 = kernel_size * kernel_size
-        w["head_k_w"] = rng.uniform(-bound, bound, size=(k2, feat))
-        w["head_k_b"] = gaussian(kernel_size, sigma_x=kernel_size / 6.0).grid.reshape(-1).copy()
-        w["head_a_w"] = rng.uniform(-bound, bound, size=(1, feat))
-        w["head_a_b"] = np.zeros(1)
+        for name, shape in _weight_shapes(kernel_size, enc.channels).items():
+            if name == "head_k_b":
+                gauss = gaussian(kernel_size, sigma_x=kernel_size / 6.0)
+                enc.weights[name] = gauss.grid.reshape(-1).copy()
+            elif name == "head_a_b":
+                enc.weights[name] = np.zeros(shape)
+            else:
+                if name.endswith("_w"):  # a conv bias shares its weight's bound
+                    bound = 1.0 / np.sqrt(np.prod(shape[1:]))
+                enc.weights[name] = rng.uniform(-bound, bound, size=shape)
         return enc
 
     def parameter_count(self) -> int:
@@ -294,30 +301,18 @@ def save_checkpoint(model: MetaModel, directory) -> Path:
     return directory
 
 
-def _weight_shapes(kernel_size: int, channels) -> dict[str, tuple[int, ...]]:
-    """The shape of every encoder tensor for this architecture."""
-    shapes, cin = {}, INPUT_FRAMES
-    for i, cout in enumerate(channels, start=1):
-        shapes[f"conv{i}_w"] = (cout, cin, 3, 3)
-        shapes[f"conv{i}_b"] = (cout,)
-        cin = cout
-    k2 = kernel_size * kernel_size
-    shapes.update(head_k_w=(k2, cin), head_k_b=(k2,), head_a_w=(1, cin), head_a_b=(1,))
-    return shapes
-
-
 def load_checkpoint(directory) -> MetaModel:
     """Load a checkpoint whose tensor index matches the architecture its
     manifest declares, with a finite payload."""
     directory = Path(directory)
-    manifest = _read_manifest(directory, "meta")
-    k = _manifest_field(manifest, "kernel_size", *ODD_SIZE)
-    channels = _manifest_field(manifest, "channels", "a non-empty list of positive integers",
-                               lambda v: isinstance(v, list) and v and all(COUNT[1](c) for c in v))
-    tensors = _manifest_field(manifest, "tensors", "a list of {name, shape} entries",
-                              lambda v: isinstance(v, list) and all(
-                                  isinstance(e, dict) and set(e) == {"name", "shape"}
-                                  for e in v))
+    manifest = read_manifest(directory, "meta")
+    k = manifest_field(manifest, "kernel_size", *ODD_SIZE)
+    channels = manifest_field(manifest, "channels", "a non-empty list of positive integers",
+                              lambda v: isinstance(v, list) and v and all(COUNT[1](c) for c in v))
+    tensors = manifest_field(manifest, "tensors", "a list of {name, shape} entries",
+                             lambda v: isinstance(v, list) and all(
+                                 isinstance(e, dict) and set(e) == {"name", "shape"}
+                                 for e in v))
     expected = _weight_shapes(k, channels)
     names = [entry["name"] for entry in tensors]
     if sorted(names, key=str) != sorted(expected):
@@ -327,13 +322,13 @@ def load_checkpoint(directory) -> MetaModel:
         if entry["shape"] != list(expected[entry["name"]]):
             raise ValueError(f"checkpoint tensor {entry['name']!r} has shape {entry['shape']}, "
                              f"expected {list(expected[entry['name']])}")
-    raw = _read_payload(directory / "weights.bin",
-                        sum(int(np.prod(shape)) for shape in expected.values()))
+    raw = read_payload(directory / "weights.bin",
+                       sum(int(np.prod(shape)) for shape in expected.values()))
     weights, offset = {}, 0
     for name in names:
         size = int(np.prod(expected[name]))
         weights[name] = raw[offset : offset + size].reshape(expected[name])
         offset += size
     encoder = MetaEncoder(kernel_size=k, channels=tuple(channels), weights=weights)
-    return MetaModel(encoder=encoder, steepness=_manifest_field(manifest, "s", *POSITIVE),
-                     layers=_manifest_field(manifest, "layers", *COUNT))
+    return MetaModel(encoder=encoder, steepness=manifest_field(manifest, "s", *POSITIVE),
+                     layers=manifest_field(manifest, "layers", *COUNT))

@@ -325,11 +325,21 @@ def test_predict_meta_manifest_mismatch_errors(tmp_path, capsys, edit, needle):
 # ---- --threads says when it cannot take effect ----
 
 
-def test_threads_warns_when_numpy_is_loaded(tmp_path, capsys):
+@pytest.mark.parametrize("preset,expected", [
+    ({}, ["warning: --threads 1 has no effect: numpy is already loaded"]),
+    ({"OMP_NUM_THREADS": "1"}, ["warning: --threads 1 has no effect: numpy is already loaded"]),
+    # numpy was loaded under the requested count, so the flag holds
+    ({"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, []),
+])
+def test_threads_warns_when_numpy_is_loaded(tmp_path, capsys, monkeypatch, preset, expected):
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.delenv(var, raising=False)
+    for var, value in preset.items():
+        monkeypatch.setenv(var, value)
     cfg = tiny_config(tmp_path)
     assert main(["--threads", "1", "gen", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 0
     warnings = [line for line in capsys.readouterr().err.splitlines() if "warning" in line]
-    assert warnings == ["warning: --threads 1 has no effect: numpy is already loaded"]
+    assert warnings == expected
 
 
 @pytest.mark.parametrize("preset,expected", [

@@ -1,14 +1,17 @@
 """Convolution primitive: oracle agreement, derived examples, invariants."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from thresholdyn import grid
+from thresholdyn.autodiff import Tape
 from thresholdyn.grid import (
     _convolve,
     _correlate,
-    _correlate_kernel,
     conv2d_same,
     is_binary,
     measure,
@@ -143,12 +146,16 @@ def test_convolve_is_the_image_adjoint_of_correlate(case, method):
 
 
 @settings(max_examples=80, deadline=None)
-@given(case=correlation_cases(), method=st.sampled_from(("direct", "fft")))
-def test_correlate_kernel_is_the_kernel_adjoint_of_correlate(case, method):
+@given(case=correlation_cases(), crossover=st.sampled_from((1, 10**9)))
+def test_tape_conv_vjp_is_the_adjoint_of_conv2d_same(case, crossover):
+    # crossover 1 sends every kernel down the tape's spectral path, 10**9 none
     x, kernel, y = case
-    gk = _correlate_kernel(x, y, kernel.shape[-2:], method)
-    if kernel.ndim == 2 and x.ndim == 3:
-        gk = gk.sum(axis=0)  # a shared kernel collects every sample's lags
-    assert gk.shape == kernel.shape
-    lhs = np.vdot(_correlate(x, kernel, method), y)
-    assert abs(lhs - np.vdot(kernel, gk)) <= _adjoint_tolerance(x, kernel, y)
+    with mock.patch.object(grid, "_FFT_KERNEL_AREA", crossover):
+        tape = Tape()
+        node = tape.conv2d_same(tape.leaf(x), tape.leaf(kernel))
+        gx, gk = node.vjp(y)
+    assert gx.shape == x.shape and gk.shape == kernel.shape
+    lhs = np.vdot(node.value, y)
+    tolerance = _adjoint_tolerance(x, kernel, y)
+    assert abs(lhs - np.vdot(x, gx)) <= tolerance
+    assert abs(lhs - np.vdot(kernel, gk)) <= tolerance

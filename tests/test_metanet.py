@@ -243,8 +243,3 @@ def test_checkpoint_rejects_wrong_kind(tmp_path):
     with pytest.raises(ValueError, match="kind"):
         metanet.load_checkpoint(tmp_path / "m")
 
-
-def test_weight_shapes_match_initialize():
-    # load_checkpoint validates tensor indexes against _weight_shapes
-    encoder = MetaEncoder.initialize(7, channels=(2, 5, 3))
-    assert {n: w.shape for n, w in encoder.weights.items()} == metanet._weight_shapes(7, (2, 5, 3))
