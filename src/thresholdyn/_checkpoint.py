@@ -1,8 +1,9 @@
-"""Checks shared by the Method 1 and Method 2 checkpoint loaders.
+"""The checkpoint codec shared by Method 1 and Method 2.
 
 A checkpoint is a directory holding ``manifest.json`` (a JSON object with
-``format_version`` and ``kind``) and a little-endian float64 payload.  Every
-check raises ``ValueError`` naming the file or manifest field at fault.
+``format_version`` and ``kind``, written with sorted keys) and one payload
+file: named tensors as little-endian float64, back to back.  Every check on
+reading raises ``ValueError`` naming the file or manifest field at fault.
 """
 
 from __future__ import annotations
@@ -14,6 +15,19 @@ from pathlib import Path
 import numpy as np
 
 CHECKPOINT_FORMAT = 1
+
+
+def write_checkpoint(directory, kind: str, fields: dict, payload: str, tensors) -> Path:
+    """Write the manifest (``fields`` plus format version and kind) and the
+    ``payload`` file holding the arrays ``tensors`` in order."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest = {"format_version": CHECKPOINT_FORMAT, "kind": kind, **fields}
+    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    (directory / payload).write_bytes(
+        b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors)
+    )
+    return directory
 
 
 def read_manifest(directory: Path, kind: str) -> dict:
@@ -62,12 +76,19 @@ def manifest_field(manifest: dict, key: str, expected: str, valid):
     return value
 
 
-def read_payload(path: Path, count: int) -> np.ndarray:
-    """``count`` little-endian float64 values, all finite."""
+def read_tensors(path: Path, shapes) -> dict[str, np.ndarray]:
+    """The tensors of a payload file, sliced by ``shapes``, the (name, shape)
+    pairs in payload order; the file must hold exactly that many values, all
+    finite."""
+    sizes = [int(np.prod(shape)) for _, shape in shapes]
     data = path.read_bytes()
-    if len(data) != 8 * count:
-        raise ValueError(f"{path.name} holds {len(data)} bytes, expected {8 * count}")
+    if len(data) != 8 * sum(sizes):
+        raise ValueError(f"{path.name} holds {len(data)} bytes, expected {8 * sum(sizes)}")
     values = np.frombuffer(data, dtype="<f8").astype(np.float64)
     if not np.isfinite(values).all():
         raise ValueError(f"{path.name} holds non-finite values")
-    return values
+    tensors, offset = {}, 0
+    for (name, shape), size in zip(shapes, sizes):
+        tensors[name] = values[offset : offset + size].reshape(shape)
+        offset += size
+    return tensors

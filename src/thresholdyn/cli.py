@@ -16,6 +16,7 @@ says so.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -29,23 +30,8 @@ DATASET_MANIFEST_VERSION = 1
 _SECTIONS = ("dataset", "model", "train", "eval", "io", "preprocess")
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
-_MODEL_DEFAULTS = {
-    "kind": "mbo",
-    "kernel_size": 31,
-    "steepness": 100.0,
-    "layers": 3,
-    "channels": [16, 32, 32],
-}
-_TRAIN_DEFAULTS = {
-    "epochs": 500,
-    "lr": 1e-4,
-    "threshold_lr": 0.1,
-    "encoder_lr": 1e-3,
-    "warmup_epochs": 0,
-    "optimizer": "adam",
-    "batch_size": 0,
-    "seed": 0,
-}
+# the TrainConfig fields a config sets in [model]; the rest go in [train]
+_MODEL_FIELDS = ("kernel_size", "steepness", "layers")
 _EVAL_DEFAULTS = {"frame_range": None, "epsilon": 1e-8}
 _IO_DEFAULTS = {"out": None}
 _PREPROCESS_DEFAULTS = {
@@ -60,11 +46,24 @@ class ConfigError(ValueError):
     """Invalid run configuration."""
 
 
-def _dataset_defaults():
-    from .datagen import DatasetSpec
-    import dataclasses
+def _field_defaults(cls) -> dict:
+    """A dataclass's field defaults, tuples as lists; fields without a plain
+    default are left out."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
 
-    return {f.name: f.default for f in dataclasses.fields(DatasetSpec)}
+
+def _section_defaults() -> dict:
+    """Defaults of the [dataset], [model] and [train] sections, taken from
+    the dataclasses they configure."""
+    from .datagen import DatasetSpec
+    from .mbonet import TrainConfig
+    from .metanet import MetaEncoder
+
+    train = _field_defaults(TrainConfig)
+    model = {"kind": "mbo", **{k: train.pop(k) for k in _MODEL_FIELDS},
+             **_field_defaults(MetaEncoder)}
+    return {"dataset": _field_defaults(DatasetSpec), "model": model, "train": train}
 
 
 def _merge_section(name: str, defaults: dict, given: dict) -> dict:
@@ -83,17 +82,10 @@ def resolve_config(raw: dict) -> dict:
     unknown = set(raw) - set(_SECTIONS)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    ds_defaults = {
-        k: (list(v) if isinstance(v, tuple) else v) for k, v in _dataset_defaults().items()
-    }
-    resolved = {
-        "dataset": _merge_section("dataset", ds_defaults, raw.get("dataset", {})),
-        "model": _merge_section("model", _MODEL_DEFAULTS, raw.get("model", {})),
-        "train": _merge_section("train", _TRAIN_DEFAULTS, raw.get("train", {})),
-        "eval": _merge_section("eval", _EVAL_DEFAULTS, raw.get("eval", {})),
-        "io": _merge_section("io", _IO_DEFAULTS, raw.get("io", {})),
-        "preprocess": _merge_section("preprocess", _PREPROCESS_DEFAULTS, raw.get("preprocess", {})),
-    }
+    defaults = {**_section_defaults(), "eval": _EVAL_DEFAULTS, "io": _IO_DEFAULTS,
+                "preprocess": _PREPROCESS_DEFAULTS}
+    resolved = {name: _merge_section(name, defaults[name], raw.get(name, {}))
+                for name in _SECTIONS}
     if resolved["model"]["kind"] not in ("mbo", "meta"):
         raise ConfigError(f"model.kind must be 'mbo' or 'meta', got {resolved['model']['kind']!r}")
     return resolved
@@ -128,20 +120,10 @@ def _dataset_spec(config: dict):
 def _train_config(config: dict):
     from .mbonet import TrainConfig
 
-    t, m = config["train"], config["model"]
-    return TrainConfig(
-        epochs=t["epochs"],
-        lr=t["lr"],
-        threshold_lr=t["threshold_lr"],
-        encoder_lr=t["encoder_lr"],
-        warmup_epochs=t["warmup_epochs"],
-        optimizer=t["optimizer"],
-        batch_size=t["batch_size"],
-        seed=t["seed"],
-        steepness=m["steepness"],
-        kernel_size=m["kernel_size"],
-        layers=m["layers"],
-    )
+    return TrainConfig(**{
+        f.name: config["model" if f.name in _MODEL_FIELDS else "train"][f.name]
+        for f in dataclasses.fields(TrainConfig)
+    })
 
 
 # ---- dataset persistence ----
@@ -190,24 +172,45 @@ def save_dataset(dataset, out_dir) -> Path:
     return out_dir
 
 
-def load_dataset(directory):
-    """Rebuild a Dataset (with quantized noisy frames) from disk."""
-    import numpy as np
+_VIDEO_FIELDS = ("id", "path", "split", "family", "threshold", "noise", "combo", "video")
 
-    from .datagen import Combo, Dataset, DatasetSpec, SampleMeta, VideoSample, make_combos
+
+def load_dataset(directory):
+    """Rebuild a Dataset (with quantized noisy frames) from disk.  A
+    malformed manifest raises IngestError naming the field at fault."""
+    from .datagen import Dataset, DatasetSpec, SampleMeta, VideoSample, make_combos
     from .ingest import IngestError, load_video
+
+    def require(record, fields, where: str) -> None:
+        if not isinstance(record, dict):
+            raise IngestError(f"{where} is not a JSON object")
+        missing = [name for name in fields if name not in record]
+        if missing:
+            raise IngestError(f"{where} has no {missing[0]!r}")
 
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise IngestError(f"{directory}: no dataset manifest.json")
     manifest = json.loads(manifest_path.read_text())
+    where = f"{manifest_path}: dataset manifest"
+    require(manifest, (), where)
     if manifest.get("format_version") != DATASET_MANIFEST_VERSION:
         raise IngestError(f"{directory}: unsupported dataset format")
+    require(manifest, ("spec", "videos", "master_seed"), where)
+    require(manifest["spec"], (), f"{where} 'spec'")
     spec_data = dict(manifest["spec"])
+    unknown = set(spec_data) - {f.name for f in dataclasses.fields(DatasetSpec)}
+    if unknown:
+        raise IngestError(f"{where} 'spec' has unknown keys {sorted(unknown)}")
     for key in ("thresholds", "families"):
-        spec_data[key] = tuple(spec_data[key])
+        if key in spec_data:
+            spec_data[key] = tuple(spec_data[key])
     spec = DatasetSpec(**spec_data)
+    if not isinstance(manifest["videos"], list):
+        raise IngestError(f"{where} 'videos' is not a list")
+    for i, entry in enumerate(manifest["videos"]):
+        require(entry, _VIDEO_FIELDS, f"{where} video entry {i}")
     combos = make_combos(spec)
     samples, train_idx, test_idx = [], [], []
     for entry in sorted(manifest["videos"], key=lambda e: e["id"]):

@@ -24,17 +24,15 @@ Video = np.ndarray  # (n_frames, H, W)
 
 @dataclass(frozen=True)
 class DynParams:
-    """The learnable state of one dynamics: kernel, threshold, steepness."""
+    """The learnable state of one dynamics: kernel and threshold.  The soft
+    step's steepness belongs to its threshold mode (`Soft.s`)."""
 
     kernel: Kernel
     threshold: float
-    steepness: float = 100.0
 
     def __post_init__(self):
         if not 0.0 < self.threshold < 1.0:
             raise ValueError(f"threshold must be in (0,1), got {self.threshold}")
-        if self.steepness <= 0:
-            raise ValueError(f"steepness must be positive, got {self.steepness}")
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,16 @@ total mass drifts during training (the learning-rate split does not hold it),
 so only a/sum(K) is identifiable.  `train` therefore reports the learned pair
 in the unit-mass gauge (K/sum(K), a/sum(K)), the normalization every
 ground-truth kernel in `kernels` uses.
+
+This module also holds the training core that Method 2 (`metanet`) reuses,
+since its network is an encoder feeding per-video (K, a) into this same
+rollout: `stack` batches the videos, `rollout_graph` is the one soft rollout
+on the autodiff tape (training and evaluation alike), and `fit` is the one
+training loop, with an Adam per parameter group.
 """
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,22 +29,21 @@ import numpy as np
 from scipy.special import expit, logit
 
 from ._checkpoint import (
-    CHECKPOINT_FORMAT,
     COUNT,
     FINITE,
     ODD_SIZE,
     POSITIVE,
     manifest_field,
     read_manifest,
-    read_payload,
+    read_tensors,
+    write_checkpoint,
 )
 from .autodiff import Tape
-from .datagen import VideoSample, make_rng
+from .datagen import make_rng
 from .dynamics import HARD, DynParams, Video, rollout
-from .grid import Grid, as_grid, _correlate
+from .grid import Grid, as_grid
 from .kernels import Kernel, gaussian
-from .optim import make_optimizer
-
+from .optim import Adam
 
 
 class TrainingDiverged(RuntimeError):
@@ -52,13 +56,13 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters shared by both trainers.
+    """Hyperparameters of `fit`, the training loop both methods share.
 
-    The kernel and the threshold form two parameter groups with very
-    different scales, so they get separate learning rates: the threshold
-    moves fast and the kernel slowly.  The split does not hold the kernel's
-    total mass: over long runs the pair drifts along the equivalent rescaled
-    dynamics (c*K, c*a).  Method 1 reports its result in the unit-mass gauge
+    Every parameter group is trained with Adam.  The kernel and the threshold
+    form two groups with very different scales, so they get separate
+    learning rates: the threshold moves fast and the kernel slowly.  The
+    split does not hold the kernel's total mass: over long runs the pair
+    drifts along the equivalent rescaled dynamics (c*K, c*a).  Method 1 reports its result in the unit-mass gauge
     (K/sum(K), a/sum(K)) instead; Method 2 pins the mass in its kernel head.
     """
 
@@ -67,7 +71,6 @@ class TrainConfig:
     threshold_lr: float = 0.1  # threshold (or threshold-head) learning rate
     encoder_lr: float = 1e-3  # meta only: shared feature-stack learning rate
     warmup_epochs: int = 0  # meta only: epochs with the kernel head frozen
-    optimizer: str = "adam"
     batch_size: int = 0  # 0 = full dataset per step
     seed: int = 0
     steepness: float = 100.0
@@ -124,31 +127,82 @@ class TrainResult:
     model: MboModel = field(repr=False, default=None)
 
 
-def _stack_first_frames(samples, n_targets):
-    """Batch (noisy) inputs and targets; validates frame counts and shapes."""
+def stack(samples, layers: int, n_inputs: int):
+    """Batch the samples' noisy frames: the first ``n_inputs`` frames of each
+    as inputs (N, n_inputs, H, W), and frames 2..layers+1 as ``layers``
+    target arrays (N, H, W).  Validates frame counts and shapes."""
+    need = max(layers + 1, n_inputs)
     shape = samples[0].noisy.shape
     for i, s in enumerate(samples):
-        if s.noisy.shape[0] < n_targets + 1:
-            raise ValueError(f"sample {i} has {s.noisy.shape[0]} frames, need {n_targets + 1}")
+        if s.noisy.shape[0] < need:
+            raise ValueError(f"sample {i} has {s.noisy.shape[0]} frames, need {need}")
         if s.noisy.shape[1:] != shape[1:]:
             raise ValueError(f"sample {i} frame shape {s.noisy.shape[1:]} != {shape[1:]}")
-    frame0 = np.stack([s.noisy[0] for s in samples])
-    targets = [np.stack([s.noisy[i + 1] for s in samples]) for i in range(n_targets)]
-    return frame0, targets
+    inputs = np.stack([s.noisy[:n_inputs] for s in samples])
+    targets = [np.stack([s.noisy[i + 1] for s in samples]) for i in range(layers)]
+    return inputs, targets
 
 
-def _loss_graph(tape: Tape, kernel_node, raw_a_node, frame0, targets, steepness):
-    """Shared soft-rollout loss: sum over target frames of the per-frame mean
-    squared error, averaged over the batch (the batch mean lives inside
-    mse_loss's mean over all elements)."""
-    a = tape.sigmoid(raw_a_node)
+def rollout_graph(tape: Tape, frame0, kernel, a, steepness: float, layers: int, targets=None):
+    """The soft rollout both methods train: ``layers`` convolve-and-soft-
+    threshold steps from frame0 (H,W) or (N,H,W).  The kernel is (kh,kw),
+    shared across the batch, or (N,kh,kw) per sample; the threshold a is a
+    scalar or (N,) per sample.  Returns the per-step predictions and, given
+    targets, the loss: the sum over steps of each frame's mean squared error,
+    averaged over the batch inside mse_loss's mean over all elements."""
     x = tape.leaf(frame0)
-    loss = None
-    for target in targets:
-        x = tape.sigmoid_threshold(tape.conv2d_same(x, kernel_node), a, steepness)
-        term = tape.mse_loss(x, target)
-        loss = term if loss is None else tape.add(loss, term)
-    return loss, x
+    preds, loss = [], None
+    for i in range(layers):
+        x = tape.sigmoid_threshold(tape.conv2d_same(x, kernel), a, steepness)
+        preds.append(x)
+        if targets is not None:
+            term = tape.mse_loss(x, targets[i])
+            loss = term if loss is None else tape.add(loss, term)
+    return preds, loss
+
+
+def fit(params: dict[str, np.ndarray], groups: dict, loss_graph, n: int, config: TrainConfig,
+        order_tag: int, frozen: str | None = None) -> list[float]:
+    """The training loop both methods share; returns the per-epoch mean loss.
+
+    ``params`` maps names to arrays, which are updated in place.  ``groups``
+    maps a group name to (parameter names, learning rate); each group has its
+    own Adam.  ``loss_graph(tape, nodes, idx)`` builds the loss of the samples
+    ``idx`` from the parameter leaves ``nodes``.  The ``frozen`` group is held
+    for the first ``config.warmup_epochs`` epochs.  Mini-batches are drawn
+    from a generator keyed on (config.seed, order_tag).
+    """
+    optimizers = {name: Adam({k: params[k] for k in keys}, lr)
+                  for name, (keys, lr) in groups.items()}
+    order_rng = make_rng(config.seed, order_tag)
+    batch = config.batch_size if config.batch_size > 0 else n
+    history = []
+    for epoch in range(config.epochs):
+        order = order_rng.permutation(n) if batch < n else np.arange(n)
+        epoch_loss = 0.0
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            tape = Tape()
+            nodes = {k: tape.leaf(v, param=True, name=k) for k, v in params.items()}
+            loss_node = loss_graph(tape, nodes, idx)
+            value = float(loss_node.value)
+            if not np.isfinite(value):
+                raise TrainingDiverged(epoch, value)
+            grads = tape.backward(loss_node)
+            for name, opt in optimizers.items():
+                if name == frozen and epoch < config.warmup_epochs:
+                    continue
+                opt.step({k: grads[nodes[k]] for k in opt.params})
+            epoch_loss += value * len(idx)
+        history.append(epoch_loss / n)
+    return history
+
+
+def _rollout(model: MboModel, frame0, layers: int, targets=None):
+    """`rollout_graph` of the model's kernel and threshold on a fresh tape."""
+    tape = Tape()
+    return rollout_graph(tape, frame0, model.raw_kernel, tape.sigmoid(model.raw_threshold),
+                         model.steepness, layers, targets)
 
 
 def forward_train(model: MboModel, frame0: Grid, n_layers: int | None = None) -> Video:
@@ -156,32 +210,16 @@ def forward_train(model: MboModel, frame0: Grid, n_layers: int | None = None) ->
     L = model.layers if n_layers is None else n_layers
     if L < 1:
         raise ValueError("need at least one layer")
-    x = as_grid(frame0)
-    frames = []
-    for _ in range(L):
-        x = expit(model.steepness * (_correlate(x, model.raw_kernel) - model.threshold))
-        frames.append(x)
-    return np.stack(frames)
+    preds, _ = _rollout(model, as_grid(frame0), L)
+    return np.stack([p.value for p in preds])
 
 
 def loss(model: MboModel, samples) -> float:
     """Mean over videos of the per-pixel-normalized squared error summed over
     frames 2..L+1, predictions rolled out from each sample's first frame."""
-    frame0, targets = _stack_first_frames(samples, model.layers)
-    preds = forward_train_batch(model, frame0)
-    total = 0.0
-    for pred, target in zip(preds, targets):
-        total += float(((pred - target) ** 2).mean())
-    return total
-
-
-def forward_train_batch(model: MboModel, frame0_batch: np.ndarray) -> list[np.ndarray]:
-    x = frame0_batch
-    out = []
-    for _ in range(model.layers):
-        x = expit(model.steepness * (_correlate(x, model.raw_kernel) - model.threshold))
-        out.append(x)
-    return out
+    inputs, targets = stack(samples, model.layers, 1)
+    _, loss_node = _rollout(model, inputs[:, 0], model.layers, targets)
+    return float(loss_node.value)
 
 
 def train(samples, config: TrainConfig, model: MboModel | None = None) -> TrainResult:
@@ -191,38 +229,20 @@ def train(samples, config: TrainConfig, model: MboModel | None = None) -> TrainR
     if model is None:
         model = MboModel.initialize(config.kernel_size, seed=config.seed,
                                     steepness=config.steepness, layers=config.layers)
-    frame0, targets = _stack_first_frames(samples, model.layers)
-    n = frame0.shape[0]
-    kernel = model.raw_kernel
-    raw_a = np.asarray(model.raw_threshold, dtype=np.float64)
-    opt_k = make_optimizer(config.optimizer, {"kernel": kernel}, config.lr)
-    opt_a = make_optimizer(config.optimizer, {"raw_threshold": raw_a}, config.threshold_lr)
-    order_rng = make_rng(config.seed, 0xB1)
-    history = []
+    inputs, targets = stack(samples, model.layers, 1)
+    params = {"kernel": model.raw_kernel,
+              "raw_threshold": np.asarray(model.raw_threshold, dtype=np.float64)}
+    groups = {"kernel": (["kernel"], config.lr),
+              "threshold": (["raw_threshold"], config.threshold_lr)}
 
-    batch = config.batch_size if config.batch_size > 0 else n
-    for epoch in range(config.epochs):
-        order = order_rng.permutation(n) if batch < n else np.arange(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            tape = Tape()
-            k_node = tape.leaf(kernel, param=True, name="kernel")
-            a_node = tape.leaf(raw_a, param=True, name="raw_threshold")
-            loss_node, _ = _loss_graph(
-                tape, k_node, a_node, frame0[idx], [t[idx] for t in targets], model.steepness
-            )
-            value = float(loss_node.value)
-            if not np.isfinite(value):
-                raise TrainingDiverged(epoch, value)
-            grads = tape.backward(loss_node)
-            opt_k.step({"kernel": grads[k_node]})
-            opt_a.step({"raw_threshold": grads[a_node]})
-            epoch_loss += value * len(idx)
-        history.append(epoch_loss / n)
+    def loss_graph(tape, nodes, idx):
+        a = tape.sigmoid(nodes["raw_threshold"])
+        _, loss_node = rollout_graph(tape, inputs[idx, 0], nodes["kernel"], a, model.steepness,
+                                     model.layers, [t[idx] for t in targets])
+        return loss_node
 
-    model.raw_kernel = kernel
-    model.raw_threshold = float(raw_a)
+    history = fit(params, groups, loss_graph, len(samples), config, 0xB1)
+    model.raw_threshold = float(params["raw_threshold"])
     to_unit_mass(model)
     return TrainResult(kernel=model.kernel, threshold=model.threshold,
                        history=history, model=model)
@@ -252,28 +272,19 @@ def to_unit_mass(model: MboModel) -> MboModel:
 def predict(model: MboModel, frame0: Grid, n_steps: int) -> Video:
     """Hard-threshold rollout with the learned kernel and threshold; returns
     n_steps+1 frames including the input frame."""
-    params = DynParams(model.kernel, model.threshold, model.steepness)
-    return rollout(frame0, params, n_steps, mode=HARD)
+    return rollout(frame0, DynParams(model.kernel, model.threshold), n_steps, mode=HARD)
 
 
 def save_checkpoint(model: MboModel, directory) -> Path:
     """JSON manifest plus a little-endian float64 kernel payload."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "format_version": CHECKPOINT_FORMAT,
-        "kind": "mbo",
+    fields = {
         "kernel_size": int(model.raw_kernel.shape[0]),
         "a": model.threshold,
         "raw_threshold": float(model.raw_threshold),
         "s": float(model.steepness),
         "layers": int(model.layers),
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    (directory / "kernel.bin").write_bytes(
-        np.ascontiguousarray(model.raw_kernel, dtype="<f8").tobytes()
-    )
-    return directory
+    return write_checkpoint(directory, "mbo", fields, "kernel.bin", [model.raw_kernel])
 
 
 def load_checkpoint(directory) -> MboModel:
@@ -281,7 +292,7 @@ def load_checkpoint(directory) -> MboModel:
     manifest = read_manifest(directory, "mbo")
     size = manifest_field(manifest, "kernel_size", *ODD_SIZE)
     return MboModel(
-        raw_kernel=read_payload(directory / "kernel.bin", size * size).reshape(size, size),
+        raw_kernel=read_tensors(directory / "kernel.bin", [("kernel", (size, size))])["kernel"],
         raw_threshold=manifest_field(manifest, "raw_threshold", *FINITE),
         steepness=manifest_field(manifest, "s", *POSITIVE),
         layers=manifest_field(manifest, "layers", *COUNT),

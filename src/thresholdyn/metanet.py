@@ -2,37 +2,36 @@
 and threshold, which feed a parameter-free soft rollout of the first frame.
 
 The encoder is a small CNN (stride-2 conv stack, an average pool over the
-front's band, two dense heads); the rollout stage reuses the encoder outputs
-and has no weights of its own, so the total parameter count equals the
-encoder's.  The kernel head's bias is initialized to a centered unit-sum
-gaussian so the very first rollouts already behave like an average front
-evolution instead of a dead all-zero dynamics.
+front's band, two dense heads).  The rollout stage is Method 1's
+(`mbonet.rollout_graph`, with a kernel and threshold per video) and has no
+weights of its own, so the total parameter count equals the encoder's.
+Training runs Method 1's loop (`mbonet.fit`) over three parameter groups.
+The kernel head's bias is initialized to a centered unit-sum gaussian so the
+very first rollouts already behave like an average front evolution instead
+of a dead all-zero dynamics.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.special import expit
 
 from ._checkpoint import (
-    CHECKPOINT_FORMAT,
     COUNT,
     ODD_SIZE,
     POSITIVE,
     manifest_field,
     read_manifest,
-    read_payload,
+    read_tensors,
+    write_checkpoint,
 )
 from .autodiff import Node, Tape
 from .datagen import VideoSample, make_rng
 from .dynamics import HARD, DynParams, Video, rollout
 from .kernels import Kernel, gaussian
-from .mbonet import TrainConfig, TrainingDiverged
-from .optim import make_optimizer
+from .mbonet import TrainConfig, fit, rollout_graph, stack
 
 INPUT_FRAMES = 4
 
@@ -141,33 +140,6 @@ def _front_pool_weights(frames: np.ndarray, n_layers: int) -> np.ndarray:
     return band / band.mean(axis=(1, 2), keepdims=True)
 
 
-def _rollout_graph(tape: Tape, frame0: np.ndarray, kmat: Node, a: Node,
-                   steepness: float, layers: int, targets=None):
-    """Soft rollout with per-sample kernels/thresholds; optionally accumulates
-    the frame-wise mean-squared-error loss."""
-    x = tape.leaf(frame0)
-    preds, loss = [], None
-    for i in range(layers):
-        x = tape.sigmoid_threshold(tape.conv2d_same(x, kmat), a, steepness)
-        preds.append(x)
-        if targets is not None:
-            term = tape.mse_loss(x, targets[i])
-            loss = term if loss is None else tape.add(loss, term)
-    return preds, loss
-
-
-def _stack_inputs(samples, layers):
-    shape = samples[0].noisy.shape
-    for i, s in enumerate(samples):
-        if s.noisy.shape[0] < layers + 1:
-            raise ValueError(f"sample {i} has {s.noisy.shape[0]} frames, need {layers + 1}")
-        if s.noisy.shape[1:] != shape[1:]:
-            raise ValueError(f"sample {i} frame shape {s.noisy.shape[1:]} != {shape[1:]}")
-    frames = np.stack([s.noisy[:INPUT_FRAMES] for s in samples])
-    targets = [np.stack([s.noisy[i + 1] for s in samples]) for i in range(layers)]
-    return frames, targets
-
-
 def _weight_nodes(tape: Tape, weights: dict[str, np.ndarray]) -> dict[str, Node]:
     return {name: tape.leaf(value, param=True, name=name) for name, value in weights.items()}
 
@@ -183,24 +155,24 @@ def encode(model: MetaModel, frames: Video) -> tuple[np.ndarray, float]:
     return np.array(kmat.value[0]), float(a.value[0])
 
 
-def forward_train(model: MetaModel, sample: VideoSample) -> Video:
-    """Soft predictions for frames 2..L+1 of one sample."""
-    frames, _ = _stack_inputs([sample], model.layers)
+def _rollout(model: MetaModel, samples):
+    """Encode the samples and roll them out: (predictions, loss)."""
+    frames, targets = stack(samples, model.layers, INPUT_FRAMES)
     tape = Tape()
     nodes = _weight_nodes(tape, model.encoder.weights)
     kmat, a = _encoder_graph(tape, nodes, frames, model.encoder.kernel_size)
-    preds, _ = _rollout_graph(tape, frames[:, 0], kmat, a, model.steepness, model.layers)
+    return rollout_graph(tape, frames[:, 0], kmat, a, model.steepness, model.layers, targets)
+
+
+def forward_train(model: MetaModel, sample: VideoSample) -> Video:
+    """Soft predictions for frames 2..L+1 of one sample."""
+    preds, _ = _rollout(model, [sample])
     return np.stack([p.value[0] for p in preds])
 
 
 def loss(model: MetaModel, samples) -> float:
     """Mean over videos of per-pixel squared error summed over frames 2..L+1."""
-    frames, targets = _stack_inputs(samples, model.layers)
-    tape = Tape()
-    nodes = _weight_nodes(tape, model.encoder.weights)
-    kmat, a = _encoder_graph(tape, nodes, frames, model.encoder.kernel_size)
-    _, loss_node = _rollout_graph(tape, frames[:, 0], kmat, a, model.steepness,
-                                  model.layers, targets)
+    _, loss_node = _rollout(model, samples)
     return float(loss_node.value)
 
 
@@ -218,52 +190,29 @@ def train(samples, config: TrainConfig, channels: tuple[int, int, int] = (16, 32
     if model is None:
         encoder = MetaEncoder.initialize(config.kernel_size, seed=config.seed, channels=channels)
         model = MetaModel(encoder=encoder, steepness=config.steepness, layers=config.layers)
-    frames, targets = _stack_inputs(samples, model.layers)
-    n = frames.shape[0]
+    frames, targets = stack(samples, model.layers, INPUT_FRAMES)
     weights = model.encoder.weights
     # three speeds: the threshold head races (it must explain threshold
     # differences), the shared kernel-mass carrier (the kernel head's bias)
     # crawls so the overall scale stays anchored near its unit-sum start,
     # and the rest learns shape at the normal rate
     groups = {
-        "head_a": ({k: v for k, v in weights.items() if k.startswith("head_a")},
-                   config.threshold_lr),
-        "head_k_bias": ({"head_k_b": weights["head_k_b"]}, config.lr),
-        "stack": ({k: v for k, v in weights.items()
-                   if k.startswith("conv") or k == "head_k_w"}, config.encoder_lr),
+        "head_a": ([k for k in weights if k.startswith("head_a")], config.threshold_lr),
+        "head_k_bias": (["head_k_b"], config.lr),
+        "stack": ([k for k in weights if k.startswith("conv") or k == "head_k_w"],
+                  config.encoder_lr),
     }
-    optimizers = {
-        name: make_optimizer(config.optimizer, params, lr)
-        for name, (params, lr) in groups.items()
-    }
-    order_rng = make_rng(config.seed, 0xE1)
-    history = []
 
-    batch = config.batch_size if config.batch_size > 0 else n
-    for epoch in range(config.epochs):
-        order = order_rng.permutation(n) if batch < n else np.arange(n)
-        epoch_loss = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            tape = Tape()
-            nodes = _weight_nodes(tape, weights)
-            kmat, a = _encoder_graph(tape, nodes, frames[idx], model.encoder.kernel_size)
-            _, loss_node = _rollout_graph(tape, frames[idx, 0], kmat, a,
-                                          model.steepness, model.layers,
-                                          [t[idx] for t in targets])
-            value = float(loss_node.value)
-            if not np.isfinite(value):
-                raise TrainingDiverged(epoch, value)
-            grads = tape.backward(loss_node)
-            named = {name: grads[node] for name, node in nodes.items()}
-            for group_name, (params, _) in groups.items():
-                # optional warm-up: hold the shared kernel mass at its
-                # unit-sum start while thresholds and features settle
-                if group_name == "head_k_bias" and epoch < config.warmup_epochs:
-                    continue
-                optimizers[group_name].step({k: named[k] for k in params})
-            epoch_loss += value * len(idx)
-        history.append(epoch_loss / n)
+    def loss_graph(tape, nodes, idx):
+        kmat, a = _encoder_graph(tape, nodes, frames[idx], model.encoder.kernel_size)
+        _, loss_node = rollout_graph(tape, frames[idx, 0], kmat, a, model.steepness,
+                                     model.layers, [t[idx] for t in targets])
+        return loss_node
+
+    # the optional warm-up holds the shared kernel mass at its unit-sum start
+    # while thresholds and features settle
+    history = fit(weights, groups, loss_graph, len(samples), config, 0xE1,
+                  frozen="head_k_bias")
     return MetaTrainResult(model=model, history=history)
 
 
@@ -271,7 +220,7 @@ def predict(model: MetaModel, frames: Video, n_steps: int) -> tuple[Kernel, floa
     """Encode once, then hard rollout from the first frame; returns the
     inferred dynamics parameters alongside the frames."""
     kernel_grid, a = encode(model, frames)
-    params = DynParams(Kernel(kernel_grid, normalized=False), a, model.steepness)
+    params = DynParams(Kernel(kernel_grid, normalized=False), a)
     video = rollout(np.asarray(frames, dtype=np.float64)[0], params, n_steps, mode=HARD)
     return Kernel(kernel_grid, normalized=False), a, video
 
@@ -279,26 +228,16 @@ def predict(model: MetaModel, frames: Video, n_steps: int) -> tuple[Kernel, floa
 def save_checkpoint(model: MetaModel, directory) -> Path:
     """JSON manifest (architecture + tensor index) plus one little-endian
     float64 payload holding every weight in manifest order."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    names = sorted(model.encoder.weights)
-    manifest = {
-        "format_version": CHECKPOINT_FORMAT,
-        "kind": "meta",
+    weights = model.encoder.weights
+    names = sorted(weights)
+    fields = {
         "kernel_size": model.encoder.kernel_size,
         "channels": list(model.encoder.channels),
         "s": float(model.steepness),
         "layers": int(model.layers),
-        "tensors": [
-            {"name": n, "shape": list(model.encoder.weights[n].shape)} for n in names
-        ],
+        "tensors": [{"name": n, "shape": list(weights[n].shape)} for n in names],
     }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    payload = b"".join(
-        np.ascontiguousarray(model.encoder.weights[n], dtype="<f8").tobytes() for n in names
-    )
-    (directory / "weights.bin").write_bytes(payload)
-    return directory
+    return write_checkpoint(directory, "meta", fields, "weights.bin", [weights[n] for n in names])
 
 
 def load_checkpoint(directory) -> MetaModel:
@@ -322,13 +261,7 @@ def load_checkpoint(directory) -> MetaModel:
         if entry["shape"] != list(expected[entry["name"]]):
             raise ValueError(f"checkpoint tensor {entry['name']!r} has shape {entry['shape']}, "
                              f"expected {list(expected[entry['name']])}")
-    raw = read_payload(directory / "weights.bin",
-                       sum(int(np.prod(shape)) for shape in expected.values()))
-    weights, offset = {}, 0
-    for name in names:
-        size = int(np.prod(expected[name]))
-        weights[name] = raw[offset : offset + size].reshape(expected[name])
-        offset += size
+    weights = read_tensors(directory / "weights.bin", [(n, expected[n]) for n in names])
     encoder = MetaEncoder(kernel_size=k, channels=tuple(channels), weights=weights)
     return MetaModel(encoder=encoder, steepness=manifest_field(manifest, "s", *POSITIVE),
                      layers=manifest_field(manifest, "layers", *COUNT))

@@ -30,25 +30,3 @@ class Adam:
             m_hat = m / (1 - self.beta1**self.t)
             v_hat = v / (1 - self.beta2**self.t)
             p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class Sgd:
-    """Plain gradient descent, kept for the optimizer switch."""
-
-    def __init__(self, params: dict[str, np.ndarray], lr: float):
-        if lr <= 0:
-            raise ValueError(f"learning rate must be positive, got {lr}")
-        self.params = params
-        self.lr = lr
-
-    def step(self, grads: dict[str, np.ndarray]) -> None:
-        for name, p in self.params.items():
-            p -= self.lr * grads[name]
-
-
-def make_optimizer(kind: str, params: dict[str, np.ndarray], lr: float):
-    if kind == "adam":
-        return Adam(params, lr)
-    if kind == "sgd":
-        return Sgd(params, lr)
-    raise ValueError(f"unknown optimizer {kind!r}")

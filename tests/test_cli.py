@@ -53,7 +53,6 @@ def read_tree(root: Path) -> dict:
 def test_resolve_config_fills_defaults_and_rejects_unknown():
     resolved = resolve_config({"train": {"epochs": 7}})
     assert resolved["train"]["epochs"] == 7
-    assert resolved["train"]["optimizer"] == "adam"
     assert resolved["dataset"]["frame_size"] == 64
     with pytest.raises(ConfigError, match="unknown keys"):
         resolve_config({"train": {"epoch": 7}})
@@ -61,6 +60,21 @@ def test_resolve_config_fills_defaults_and_rejects_unknown():
         resolve_config({"training": {}})
     with pytest.raises(ConfigError, match="kind"):
         resolve_config({"model": {"kind": "transformer"}})
+
+
+def test_resolve_config_defaults_are_pinned():
+    # the [train] and [model] defaults come from TrainConfig and MetaEncoder;
+    # these literals keep a change to those dataclasses from moving them
+    # silently
+    resolved = resolve_config({})
+    assert resolved["train"] == {
+        "epochs": 500, "lr": 1e-4, "threshold_lr": 0.1, "encoder_lr": 1e-3,
+        "warmup_epochs": 0, "batch_size": 0, "seed": 0,
+    }
+    assert resolved["model"] == {
+        "kind": "mbo", "kernel_size": 31, "steepness": 100.0, "layers": 3,
+        "channels": [16, 32, 32],
+    }
 
 
 def test_parse_frame_range():
@@ -232,7 +246,31 @@ def test_preprocess_fire_cli(tmp_path):
     assert counts[0] < counts[1] < counts[2]
 
 
-# ---- malformed checkpoints: one `error:` line and exit 1 ----
+# ---- malformed dataset manifests and checkpoints: one `error:` line, exit 1 ----
+
+
+@pytest.mark.parametrize("edit, needle", [
+    (lambda m: {"format_version": 1}, "'spec'"),
+    (lambda m: {**m, "videos": [{k: v for k, v in m["videos"][0].items() if k != "path"}]},
+     "'path'"),
+    (lambda m: {k: v for k, v in m.items() if k != "master_seed"}, "'master_seed'"),
+    (lambda m: {**m, "spec": {**m["spec"], "frame_sz": 8}}, "frame_sz"),
+    (lambda m: {**m, "videos": [1]}, "video entry 0"),
+    (lambda m: [1], "not a JSON object"),
+], ids=["no-spec", "entry-without-path", "no-master-seed", "unknown-spec-key",
+        "entry-not-an-object", "not-an-object"])
+def test_train_malformed_dataset_manifest_errors(tmp_path, capsys, edit, needle):
+    cfg = tiny_config(tmp_path)
+    data = tmp_path / "data"
+    assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    path = data / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    rc = main(["train", "--config", str(cfg), "--dataset", str(data),
+               "--out", str(tmp_path / "run")])
+    err = capsys.readouterr().err.strip().splitlines()
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0], err
 
 
 def _predict_errors(tmp_path, capsys, checkpoint) -> str:

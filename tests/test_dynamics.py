@@ -65,7 +65,7 @@ def test_step_soft_is_sigmoid_of_convolution():
     rng = np.random.default_rng(0)
     frame = (rng.random((12, 12)) > 0.5).astype(float)
     k = kernels.gaussian(5, sigma_x=1.0)
-    params = DynParams(k, threshold=0.4, steepness=50.0)
+    params = DynParams(k, threshold=0.4)
     from thresholdyn.grid import conv2d_same
 
     expected = sigmoid_threshold(conv2d_same(frame, k.grid, method="direct"), 0.4, 50.0)
@@ -141,7 +141,7 @@ def test_soft_approaches_hard_as_steepness_grows():
         assert np.min(np.abs(conv - a)) >= 1e-3
     dists = []
     for s in (100.0, 1e4):
-        soft = rollout(frame, DynParams(k, a, s), n_steps=3, mode=Soft(s))
+        soft = rollout(frame, DynParams(k, a), n_steps=3, mode=Soft(s))
         dists.append(np.max(np.abs(soft - hard)))
     assert dists[1] < dists[0]
     assert dists[1] < 1e-3

@@ -40,8 +40,7 @@ def test_forward_train_delta_kernel_is_sigmoid_of_frame():
 
 def test_forward_train_matches_three_soft_steps():
     model = MboModel.initialize(5, seed=1, steepness=80.0, layers=3)
-    params = DynParams(kernels.Kernel(model.raw_kernel, normalized=False),
-                       model.threshold, model.steepness)
+    params = DynParams(kernels.Kernel(model.raw_kernel, normalized=False), model.threshold)
     frame = disk_frame(16, 5)
     preds = mbonet.forward_train(model, frame)
     x = frame
@@ -97,10 +96,10 @@ def test_loss_rejects_short_or_mismatched_videos():
 
 def test_training_graph_passes_gradcheck():
     ds = tiny_dataset(n_videos=2, size=8)
-    from thresholdyn.mbonet import _loss_graph, _stack_first_frames
+    from thresholdyn.mbonet import rollout_graph, stack
     from thresholdyn.autodiff import Tape
 
-    frame0, targets = _stack_first_frames(ds.samples, 2)
+    inputs, targets = stack(ds.samples, 2, 1)
 
     def build(params, rng):
         k_val = kernels.gaussian(3, sigma_x=0.8).grid + rng.uniform(-1e-3, 1e-3, (3, 3))
@@ -110,11 +109,22 @@ def test_training_graph_passes_gradcheck():
         tape = Tape()
         k = tape.leaf(k_val, param=True, name="k")
         a = tape.leaf(a_val, param=True, name="a")
-        loss_node, _ = _loss_graph(tape, k, a, frame0, targets, 100.0)
+        _, loss_node = rollout_graph(tape, inputs[:, 0], k, tape.sigmoid(a), 100.0, 2, targets)
         return tape, loss_node, {"k": k, "a": a}
 
     report = gradcheck(build, seed=0, step=1e-6)
     assert report.passed, report.max_rel_error
+
+
+def test_loss_of_initial_model_is_first_history_entry():
+    # loss() and train() build the same rollout graph.  Full batch, so the
+    # first epoch's loss is the initial model's; 4 videos, because the
+    # history weights each batch loss by its size and (v * 4) / 4 == v is
+    # exact in floating point where (v * 3) / 3 need not be
+    ds = tiny_dataset(n_videos=4, size=16)
+    cfg = TrainConfig(epochs=1, kernel_size=5, seed=2)
+    model = MboModel.initialize(5, seed=2, steepness=cfg.steepness, layers=cfg.layers)
+    assert mbonet.train(ds.samples, cfg).history == [mbonet.loss(model, ds.samples)]
 
 
 def test_train_reduces_loss_and_stays_in_unit_interval():

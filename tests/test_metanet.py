@@ -6,12 +6,11 @@ import pytest
 from thresholdyn import metanet
 from thresholdyn.autodiff import Tape, gradcheck
 from thresholdyn.datagen import DatasetSpec, build_dataset
-from thresholdyn.mbonet import TrainConfig
+from thresholdyn.mbonet import TrainConfig, rollout_graph
 from thresholdyn.metanet import (
     MetaEncoder,
     MetaModel,
     _encoder_graph,
-    _rollout_graph,
     _weight_nodes,
     encode,
     forward_train,
@@ -149,7 +148,7 @@ def test_full_encoder_rollout_gradcheck_8x8():
         tape = Tape()
         nodes = {name: tape.leaf(val, param=True, name=name) for name, val in values.items()}
         kmat, a = _encoder_graph(tape, nodes, frames, 3)
-        _, loss_node = _rollout_graph(tape, frames[:, 0], kmat, a, 100.0, 3, targets)
+        _, loss_node = rollout_graph(tape, frames[:, 0], kmat, a, 100.0, 3, targets)
         return tape, loss_node, nodes
 
     report = gradcheck(build, seed=0, step=1e-6)
@@ -181,6 +180,39 @@ def test_train_deterministic():
         )
 
 
+def test_warmup_freezes_only_the_kernel_mass_in_minibatch_training():
+    # 6 videos in batches of 4; head_k_b is held through epoch 2 of 4, every
+    # other tensor moves from the first epoch on
+    ds = tiny_dataset(videos=3)
+    initial = MetaEncoder.initialize(5, seed=1, channels=TINY).weights
+
+    def run(epochs):
+        cfg = TrainConfig(epochs=epochs, kernel_size=5, seed=1, lr=1e-3, batch_size=4,
+                          warmup_epochs=2)
+        return metanet.train(ds.samples, cfg, channels=TINY)
+
+    one, two, three, four, again = run(1), run(2), run(3), run(4), run(4)
+    for res in (one, two):
+        weights = res.model.encoder.weights
+        np.testing.assert_array_equal(weights["head_k_b"], initial["head_k_b"])
+        for name in initial.keys() - {"head_k_b"}:
+            assert not np.array_equal(weights[name], initial[name]), f"{name} never moved"
+    assert not np.array_equal(three.model.encoder.weights["head_k_b"], initial["head_k_b"])
+    assert three.history == four.history[:3]
+    assert four.history == again.history
+
+
+def test_loss_of_initial_model_is_first_history_entry():
+    # loss() and train() build the same graph; see the mbonet test of the
+    # same name for why the batch holds 4 videos
+    ds = tiny_dataset(videos=2)
+    cfg = TrainConfig(epochs=1, kernel_size=5, seed=3)
+    model = MetaModel(encoder=MetaEncoder.initialize(5, seed=3, channels=TINY),
+                      steepness=cfg.steepness, layers=cfg.layers)
+    expected = metanet.loss(model, ds.samples)
+    assert metanet.train(ds.samples, cfg, channels=TINY).history == [expected]
+
+
 def test_rollout_stage_has_no_parameters():
     model = tiny_model()
     encoder_count = model.encoder.parameter_count()
@@ -192,8 +224,8 @@ def test_rollout_stage_has_no_parameters():
     nodes = _weight_nodes(tape, model.encoder.weights)
     kmat, a = _encoder_graph(tape, nodes, frames, 5)
     n_params_before = sum(1 for node in tape.nodes if node.is_param)
-    _rollout_graph(tape, frames[:, 0], kmat, a, model.steepness, 3,
-                   [np.zeros((1, 16, 16))] * 3)
+    rollout_graph(tape, frames[:, 0], kmat, a, model.steepness, 3,
+                  [np.zeros((1, 16, 16))] * 3)
     n_params_after = sum(1 for node in tape.nodes if node.is_param)
     assert n_params_before == n_params_after == len(model.encoder.weights)
 
