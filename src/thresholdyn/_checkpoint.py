@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -17,16 +18,29 @@ import numpy as np
 CHECKPOINT_FORMAT = 1
 
 
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` under a temporary name beside ``path``, then rename it
+    over ``path``: a reader sees the old file or the new one, never a part."""
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_checkpoint(directory, kind: str, fields: dict, payload: str, tensors) -> Path:
-    """Write the manifest (``fields`` plus format version and kind) and the
-    ``payload`` file holding the arrays ``tensors`` in order."""
+    """Write the ``payload`` file holding the arrays ``tensors`` in order,
+    then the manifest (``fields`` plus format version and kind), each
+    replaced whole, so a write that fails leaves the file it was replacing."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {"format_version": CHECKPOINT_FORMAT, "kind": kind, **fields}
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    (directory / payload).write_bytes(
-        b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors)
-    )
+    _replace_file(directory / payload,
+                  b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in tensors))
+    _replace_file(directory / "manifest.json",
+                  json.dumps(manifest, indent=2, sort_keys=True).encode())
     return directory
 
 

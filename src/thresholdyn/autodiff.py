@@ -4,6 +4,12 @@ A Tape records ops in execution order; since every node's inputs precede it,
 backward is a single reverse sweep visiting each node exactly once.  Values
 are float64 numpy arrays (0-d for scalars).  One tape per training step;
 tapes are not shared across threads.
+
+Only nodes that lead back to a parameter leaf are differentiated: a node's
+``requires_grad`` is derived when it is built (a param, or any parent with
+it), a node without it keeps no vjp, and backward never pushes a gradient
+into it.  So the constant inputs of a step (a rollout's first frame, the
+encoder's input frames) cost no image gradient.
 """
 
 from __future__ import annotations
@@ -18,14 +24,20 @@ from .grid import _Spectral, _check_kernel, _convolve, _correlate, _correlate_ke
 
 class Node:
     """One tape entry: cached forward value plus the vjp that pushes an
-    incoming gradient to its parents."""
+    incoming gradient to its parents.
 
-    __slots__ = ("value", "parents", "vjp", "grad", "is_param", "name")
+    ``requires_grad`` is computed, never set: true for a param leaf or when
+    any parent has it.  A node without it drops its vjp.  A vjp returns one
+    gradient per parent and may return None for a parent that needs none.
+    """
+
+    __slots__ = ("value", "parents", "vjp", "grad", "is_param", "requires_grad", "name")
 
     def __init__(self, value, parents=(), vjp=None, is_param=False, name=None):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents = parents
-        self.vjp = vjp
+        self.requires_grad = is_param or any(p.requires_grad for p in parents)
+        self.vjp = vjp if self.requires_grad else None
         self.grad = None
         self.is_param = is_param
         self.name = name
@@ -142,7 +154,8 @@ class Tape:
         kernel (kh,kw) shared across the batch or (N,kh,kw) per sample.
         Kernels that ``_use_fft`` sends to the FFT path keep their input and
         kernel spectra for the vjp; a shared kernel's gradient is summed over
-        the batch in frequency space."""
+        the batch in frequency space.  The image gradient is skipped when the
+        image needs none."""
         image, kernel = self._as_node(image), self._as_node(kernel)
         xv, kv = image.value, kernel.value
         if xv.ndim not in (2, 3) or kv.ndim not in (2, 3):
@@ -151,6 +164,7 @@ class Tape:
             raise ValueError(f"per-sample kernels {kv.shape} need matching batch {xv.shape}")
         _check_kernel(xv.shape, kv.shape[-2:])
         shared = kv.ndim == 2 and xv.ndim == 3
+        need_x = image.requires_grad
         if _use_fft(kv.shape, "auto"):
             plan = _Spectral(xv.shape, kv.shape)
             x_hat, k_hat = plan.rfft(xv), plan.kernel_rfft(kv)
@@ -158,12 +172,13 @@ class Tape:
             def spectral_vjp(g):  # one transform of g serves both gradients
                 g_hat = plan.rfft(g)
                 cross = g_hat.conj() * x_hat
-                return plan.image(g_hat * k_hat), plan.lags(cross.sum(axis=0) if shared else cross)
+                gx = plan.image(g_hat * k_hat) if need_x else None
+                return gx, plan.lags(cross.sum(axis=0) if shared else cross)
 
             return self._push(Node(plan.image(x_hat * k_hat.conj()), (image, kernel), spectral_vjp))
 
         def vjp(g):
-            gx = _convolve(g, kv, "direct")
+            gx = _convolve(g, kv, "direct") if need_x else None
             gk = _correlate_kernel(xv, g, kv.shape[-2:])
             return gx, gk.sum(axis=0) if shared else gk
 
@@ -171,7 +186,8 @@ class Tape:
 
     def conv_layer(self, x: Node, w: Node, b: Node, stride: int = 1) -> Node:
         """Multichannel strided conv with zero padding (k-1)//2: x (N,Cin,H,W),
-        w (Cout,Cin,kh,kw), b (Cout,) -> (N,Cout,Ho,Wo)."""
+        w (Cout,Cin,kh,kw), b (Cout,) -> (N,Cout,Ho,Wo).  The image gradient
+        is skipped when x needs none."""
         x, w, b = self._as_node(x), self._as_node(w), self._as_node(b)
         xv, wv, bv = x.value, w.value, b.value
         n, cin, h, width = xv.shape
@@ -189,6 +205,8 @@ class Tape:
         def vjp(g):
             gw = np.einsum("nchwuv,nohw->ocuv", windows, g, optimize=True)
             gb = g.sum(axis=(0, 2, 3))
+            if not x.requires_grad:
+                return None, gw, gb
             t = np.einsum("nohw,ocuv->nchwuv", g, wv, optimize=True)
             gxp = np.zeros_like(xp)
             for u in range(kh):
@@ -252,7 +270,9 @@ class Tape:
 
     def backward(self, loss: Node) -> dict[Node, np.ndarray]:
         """Reverse sweep from a scalar loss; returns gradients for every
-        parameter leaf (zero for params the loss does not reach)."""
+        parameter leaf (zero for params the loss does not reach).  Only
+        nodes with ``requires_grad`` receive a gradient; the others keep
+        ``grad`` None."""
         if loss.value.ndim != 0:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
         for node in self.nodes:
@@ -262,9 +282,8 @@ class Tape:
             if node.grad is None or node.vjp is None:
                 continue
             for parent, g in zip(node.parents, node.vjp(node.grad)):
-                if parent.grad is None:
-                    parent.grad = np.zeros_like(parent.value)
-                parent.grad = parent.grad + g
+                if parent.requires_grad:
+                    parent.grad = g if parent.grad is None else parent.grad + g
         return {
             n: (n.grad if n.grad is not None else np.zeros_like(n.value))
             for n in self.nodes

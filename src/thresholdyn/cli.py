@@ -173,6 +173,13 @@ def save_dataset(dataset, out_dir) -> Path:
 
 
 _VIDEO_FIELDS = ("id", "path", "split", "family", "threshold", "noise", "combo", "video")
+# (field, description, test) for the video entry fields load_dataset reads
+# as more than a label
+_VIDEO_FIELD_TYPES = (
+    ("id", "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
+    ("path", "a string", lambda v: isinstance(v, str)),
+    ("split", "'train' or 'test'", lambda v: v in ("train", "test")),
+)
 
 
 def load_dataset(directory):
@@ -205,12 +212,18 @@ def load_dataset(directory):
         raise IngestError(f"{where} 'spec' has unknown keys {sorted(unknown)}")
     for key in ("thresholds", "families"):
         if key in spec_data:
+            if not isinstance(spec_data[key], list):
+                raise IngestError(f"{where} 'spec' {key!r} is not a list")
             spec_data[key] = tuple(spec_data[key])
     spec = DatasetSpec(**spec_data)
     if not isinstance(manifest["videos"], list):
         raise IngestError(f"{where} 'videos' is not a list")
     for i, entry in enumerate(manifest["videos"]):
         require(entry, _VIDEO_FIELDS, f"{where} video entry {i}")
+        for key, expected, valid in _VIDEO_FIELD_TYPES:
+            if not valid(entry[key]):
+                raise IngestError(f"{where} video entry {i} {key!r} is {entry[key]!r}, "
+                                  f"expected {expected}")
     combos = make_combos(spec)
     samples, train_idx, test_idx = [], [], []
     for entry in sorted(manifest["videos"], key=lambda e: e["id"]):

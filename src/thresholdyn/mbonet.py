@@ -193,8 +193,8 @@ def fit(params: dict[str, np.ndarray], groups: dict, loss_graph, n: int, config:
                 if name == frozen and epoch < config.warmup_epochs:
                     continue
                 opt.step({k: grads[nodes[k]] for k in opt.params})
-            epoch_loss += value * len(idx)
-        history.append(epoch_loss / n)
+            epoch_loss += value * (len(idx) / n)  # exactly value for one full batch
+        history.append(epoch_loss)
     return history
 
 

@@ -6,9 +6,12 @@ front's band, two dense heads).  The rollout stage is Method 1's
 (`mbonet.rollout_graph`, with a kernel and threshold per video) and has no
 weights of its own, so the total parameter count equals the encoder's.
 Training runs Method 1's loop (`mbonet.fit`) over three parameter groups.
-The kernel head's bias is initialized to a centered unit-sum gaussian so the
-very first rollouts already behave like an average front evolution instead
-of a dead all-zero dynamics.
+The kernel head's bias is initialized to a centered unit-sum gaussian, so
+every encoded kernel starts with unit mass instead of a dead all-zero
+dynamics.  The first kernels are not yet an average front evolution: at
+step 0 the head's random weights add a per-pixel deviation to that bias
+(L1 norm about 2.6 at k15, with about -1 of negative mass), which training
+has to remove.
 """
 
 from __future__ import annotations

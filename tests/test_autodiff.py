@@ -1,10 +1,20 @@
 """Tape backward pass vs hand-derived forms and finite differences."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from thresholdyn import autodiff, grid
 from thresholdyn.autodiff import GradcheckReport, Tape, gradcheck
-from thresholdyn.grid import _convolve, _correlate, _correlate_kernel, _use_fft, conv2d_same
+from thresholdyn.grid import (
+    _convolve,
+    _correlate,
+    _correlate_kernel,
+    _Spectral,
+    _use_fft,
+    conv2d_same,
+)
 
 
 def test_mse_of_identical_inputs_has_zero_gradient():
@@ -237,7 +247,7 @@ def test_fft_path_matches_direct(x_shape, k_shape):
     k_val = rng.normal(size=k_shape)
     g = rng.normal(size=x_shape)
     tape = Tape()
-    node = tape.conv2d_same(tape.leaf(x_val), tape.leaf(k_val))
+    node = tape.conv2d_same(tape.leaf(x_val, param=True), tape.leaf(k_val, param=True))
     gx, gk = node.vjp(g)
     expected_gk = _correlate_kernel(x_val, g, k_shape[-2:])
     if len(k_shape) == 2 and len(x_shape) == 3:
@@ -263,3 +273,111 @@ def build_fft_conv_mse(params, rng):
 
 def test_gradcheck_fft_path():
     _fd_check(build_fft_conv_mse, n_params=2)
+
+
+@pytest.mark.parametrize("k_shape", [(17, 17), (3, 17, 17)], ids=["shared", "per-sample"])
+def test_fft_path_is_exact_at_the_smallest_transform(k_shape):
+    # 24x24 frames with a 17x17 kernel transform at P = H + c = 24 + 8 = 32,
+    # the least size at which no shift wraps into the image.  Mass on the
+    # image border and the kernel corners exercises the longest shifts.
+    assert _Spectral((3, 24, 24), k_shape).size == (32, 32)
+    rng = np.random.default_rng(11)
+    x_val = rng.random((3, 24, 24)) * 0.1
+    x_val[:, [0, -1], :] = 1.0
+    x_val[:, :, [0, -1]] = 1.0
+    k_val = rng.normal(size=k_shape) * 0.1
+    k_val[..., [0, 0, -1, -1], [0, -1, 0, -1]] = 1.0
+    g = rng.normal(size=x_val.shape)
+    g[:, [0, -1], :] += 2.0
+    tape = Tape()
+    node = tape.conv2d_same(tape.leaf(x_val, param=True), tape.leaf(k_val, param=True))
+    gx, gk = node.vjp(g)
+    expected_gk = _correlate_kernel(x_val, g, k_shape[-2:])
+    if len(k_shape) == 2:
+        expected_gk = expected_gk.sum(axis=0)
+    assert _rel(node.value, _correlate(x_val, k_val, "direct")) <= 1e-12
+    assert _rel(gx, _convolve(g, k_val, "direct")) <= 1e-12
+    assert _rel(gk, expected_gk) <= 1e-12
+
+
+def test_transform_size_is_image_plus_kernel_center():
+    assert _Spectral((100, 64, 64), (31, 31)).size == (80, 80)
+    assert _Spectral((100, 64, 64), (25, 25)).size == (80, 80)
+
+
+def _counting(module, name, counts):
+    original = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return original(*args, **kwargs)
+
+    return mock.patch.object(module, name, wrapper)
+
+
+@pytest.mark.parametrize("k_size,counted", [(5, (autodiff, "_convolve")), (17, (grid, "irfft2"))],
+                         ids=["direct", "fft"])
+def test_constant_image_gets_no_gradient(k_size, counted):
+    # a two-layer rollout from a constant frame: only the first layer's image
+    # needs no gradient, so backward computes one image gradient, not two
+    rng = np.random.default_rng(12)
+    x_val = rng.random((2, 20, 20))
+    k_val = rng.normal(size=(k_size, k_size)) * 0.05
+    target = rng.random((2, 20, 20))
+
+    def run(image_is_param):
+        tape = Tape()
+        x = tape.leaf(x_val, param=image_is_param)
+        k = tape.leaf(k_val, param=True)
+        a = tape.leaf(np.asarray(0.2), param=True)
+        y = x
+        for _ in range(2):
+            y = tape.sigmoid_threshold(tape.conv2d_same(y, k), a, s=5.0)
+        loss = tape.mse_loss(y, target)
+        counts = {}
+        with _counting(*counted, counts):
+            grads = tape.backward(loss)
+        return x, grads[k], grads[a], counts[counted[1]]
+
+    x, gk, ga, calls = run(False)
+    x_param, gk_param, ga_param, calls_param = run(True)
+    assert not x.requires_grad and x.grad is None
+    assert x_param.grad is not None
+    if k_size == 5:  # direct: one _convolve per image gradient
+        assert (calls, calls_param) == (1, 2)
+    else:  # fft: per layer one irfft2 for the kernel lags, one per image gradient
+        assert (calls, calls_param) == (3, 4)
+    assert gk.tobytes() == gk_param.tobytes()
+    assert ga.tobytes() == ga_param.tobytes()
+
+
+def test_conv_layer_skips_the_gradient_of_a_constant_input():
+    rng = np.random.default_rng(13)
+    x_val = rng.random((2, 3, 8, 8))
+    w_val = rng.normal(size=(4, 3, 3, 3))
+    b_val = rng.normal(size=4)
+    g = rng.normal(size=(2, 4, 4, 4))
+
+    def vjp(image_is_param):
+        tape = Tape()
+        x = tape.leaf(x_val, param=image_is_param)
+        w, b = tape.leaf(w_val, param=True), tape.leaf(b_val, param=True)
+        return tape.conv_layer(x, w, b, stride=2).vjp(g)
+
+    gx, gw, gb = vjp(False)
+    gx_param, gw_param, gb_param = vjp(True)
+    assert gx is None and gx_param.shape == x_val.shape
+    assert gw.tobytes() == gw_param.tobytes() and gb.tobytes() == gb_param.tobytes()
+
+
+def test_requires_grad_is_derived_from_params():
+    tape = Tape()
+    c = tape.leaf(np.ones(3))
+    p = tape.leaf(np.ones(3), param=True)
+    constant = tape.scale(c, 2.0)
+    mixed = tape.add(constant, p)
+    assert not c.requires_grad and not constant.requires_grad and constant.vjp is None
+    assert p.requires_grad and mixed.requires_grad
+    tape.backward(tape.mse_loss(mixed, np.zeros(3)))
+    assert c.grad is None and constant.grad is None
+    assert mixed.grad is not None and p.grad is not None

@@ -249,6 +249,10 @@ def test_preprocess_fire_cli(tmp_path):
 # ---- malformed dataset manifests and checkpoints: one `error:` line, exit 1 ----
 
 
+def _edit_first_entry(manifest, **fields):
+    return {**manifest, "videos": [{**manifest["videos"][0], **fields}] + manifest["videos"][1:]}
+
+
 @pytest.mark.parametrize("edit, needle", [
     (lambda m: {"format_version": 1}, "'spec'"),
     (lambda m: {**m, "videos": [{k: v for k, v in m["videos"][0].items() if k != "path"}]},
@@ -257,8 +261,14 @@ def test_preprocess_fire_cli(tmp_path):
     (lambda m: {**m, "spec": {**m["spec"], "frame_sz": 8}}, "frame_sz"),
     (lambda m: {**m, "videos": [1]}, "video entry 0"),
     (lambda m: [1], "not a JSON object"),
+    (lambda m: _edit_first_entry(m, path=5), "'path'"),
+    (lambda m: _edit_first_entry(m, id="0"), "'id'"),
+    (lambda m: _edit_first_entry(m, split="validation"), "'split'"),
+    (lambda m: {**m, "spec": {**m["spec"], "thresholds": 0.3}}, "'thresholds'"),
+    (lambda m: {**m, "spec": {**m["spec"], "families": "gaussian"}}, "'families'"),
 ], ids=["no-spec", "entry-without-path", "no-master-seed", "unknown-spec-key",
-        "entry-not-an-object", "not-an-object"])
+        "entry-not-an-object", "not-an-object", "path-not-a-string", "id-not-an-integer",
+        "unknown-split", "thresholds-not-a-list", "families-not-a-list"])
 def test_train_malformed_dataset_manifest_errors(tmp_path, capsys, edit, needle):
     cfg = tiny_config(tmp_path)
     data = tmp_path / "data"

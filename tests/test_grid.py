@@ -152,7 +152,7 @@ def test_tape_conv_vjp_is_the_adjoint_of_conv2d_same(case, crossover):
     x, kernel, y = case
     with mock.patch.object(grid, "_FFT_KERNEL_AREA", crossover):
         tape = Tape()
-        node = tape.conv2d_same(tape.leaf(x), tape.leaf(kernel))
+        node = tape.conv2d_same(tape.leaf(x, param=True), tape.leaf(kernel, param=True))
         gx, gk = node.vjp(y)
     assert gx.shape == x.shape and gk.shape == kernel.shape
     lhs = np.vdot(node.value, y)

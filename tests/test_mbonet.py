@@ -1,5 +1,7 @@
 """Single-dynamics trainer: forward/loss contracts, determinism, checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import expit
@@ -118,13 +120,14 @@ def test_training_graph_passes_gradcheck():
 
 def test_loss_of_initial_model_is_first_history_entry():
     # loss() and train() build the same rollout graph.  Full batch, so the
-    # first epoch's loss is the initial model's; 4 videos, because the
-    # history weights each batch loss by its size and (v * 4) / 4 == v is
-    # exact in floating point where (v * 3) / 3 need not be
-    ds = tiny_dataset(n_videos=4, size=16)
+    # first epoch's loss is the initial model's, bit for bit.  Dataset seed 6
+    # with 3 videos is one where a history of sum(v * |batch|) / n would be
+    # off by the last bit, since (v * 3) / 3 need not equal v
     cfg = TrainConfig(epochs=1, kernel_size=5, seed=2)
     model = MboModel.initialize(5, seed=2, steepness=cfg.steepness, layers=cfg.layers)
-    assert mbonet.train(ds.samples, cfg).history == [mbonet.loss(model, ds.samples)]
+    for n_videos, seed in [(4, 3), (3, 6)]:
+        ds = tiny_dataset(n_videos=n_videos, size=16, seed=seed)
+        assert mbonet.train(ds.samples, cfg).history == [mbonet.loss(model, ds.samples)]
 
 
 def test_train_reduces_loss_and_stays_in_unit_interval():
@@ -247,6 +250,28 @@ def test_checkpoint_roundtrip(tmp_path):
     np.testing.assert_array_equal(loaded.raw_kernel, model.raw_kernel)
     assert loaded.raw_threshold == model.raw_threshold
     assert loaded.steepness == 90.0 and loaded.layers == 4
+
+
+def test_checkpoint_write_that_fails_midway_leaves_the_old_checkpoint(tmp_path, monkeypatch):
+    old = MboModel.initialize(7, seed=5)
+    path = mbonet.save_checkpoint(old, tmp_path / "ckpt")
+    files = sorted(p.name for p in path.iterdir())
+
+    def write_half_then_fail(self, data):
+        with open(self, "wb") as f:
+            f.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+    new = MboModel.initialize(7, seed=6)
+    new.raw_threshold = 0.4
+    with pytest.raises(OSError, match="disk full"):
+        mbonet.save_checkpoint(new, path)
+    monkeypatch.undo()
+    assert sorted(p.name for p in path.iterdir()) == files
+    loaded = mbonet.load_checkpoint(path)
+    np.testing.assert_array_equal(loaded.raw_kernel, old.raw_kernel)
+    assert loaded.raw_threshold == old.raw_threshold
 
 
 def test_checkpoint_rejects_bad_version(tmp_path):

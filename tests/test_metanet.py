@@ -204,13 +204,14 @@ def test_warmup_freezes_only_the_kernel_mass_in_minibatch_training():
 
 def test_loss_of_initial_model_is_first_history_entry():
     # loss() and train() build the same graph; see the mbonet test of the
-    # same name for why the batch holds 4 videos
-    ds = tiny_dataset(videos=2)
+    # same name for why a 3-video batch (dataset seed 8) is included
     cfg = TrainConfig(epochs=1, kernel_size=5, seed=3)
     model = MetaModel(encoder=MetaEncoder.initialize(5, seed=3, channels=TINY),
                       steepness=cfg.steepness, layers=cfg.layers)
-    expected = metanet.loss(model, ds.samples)
-    assert metanet.train(ds.samples, cfg, channels=TINY).history == [expected]
+    for n_combos, videos, seed in [(2, 2, 4), (3, 1, 8)]:
+        ds = tiny_dataset(n_combos=n_combos, videos=videos, seed=seed)
+        expected = metanet.loss(model, ds.samples)
+        assert metanet.train(ds.samples, cfg, channels=TINY).history == [expected]
 
 
 def test_rollout_stage_has_no_parameters():
