@@ -77,22 +77,12 @@ class Tape:
             raise ValueError(f"add shape mismatch: {x.shape} vs {y.shape}")
         return self._push(Node(x.value + y.value, (x, y), lambda g: (g, g)))
 
-    def sub(self, x: Node, y: Node) -> Node:
-        x, y = self._as_node(x), self._as_node(y)
-        if x.value.shape != y.value.shape:
-            raise ValueError(f"sub shape mismatch: {x.shape} vs {y.shape}")
-        return self._push(Node(x.value - y.value, (x, y), lambda g: (g, -g)))
-
     def mul(self, x: Node, y: Node) -> Node:
         x, y = self._as_node(x), self._as_node(y)
         if x.value.shape != y.value.shape:
             raise ValueError(f"mul shape mismatch: {x.shape} vs {y.shape}")
         xv, yv = x.value, y.value
         return self._push(Node(xv * yv, (x, y), lambda g: (g * yv, g * xv)))
-
-    def scale(self, x: Node, c: float) -> Node:
-        x = self._as_node(x)
-        return self._push(Node(x.value * c, (x,), lambda g: (g * c,)))
 
     def add_bias(self, x: Node, b: Node) -> Node:
         """Broadcast add of a vector over the rows of a batch: x (N,m) + b (m,)."""

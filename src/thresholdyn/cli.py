@@ -21,25 +21,18 @@ import json
 import logging
 import os
 import sys
+import types
+import typing
 from pathlib import Path
 
 log = logging.getLogger("thresholdyn")
 
 DATASET_MANIFEST_VERSION = 1
 
-_SECTIONS = ("dataset", "model", "train", "eval", "io", "preprocess")
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the TrainConfig fields a config sets in [model]; the rest go in [train]
 _MODEL_FIELDS = ("kernel_size", "steepness", "layers")
-_EVAL_DEFAULTS = {"frame_range": None, "epsilon": 1e-8}
-_IO_DEFAULTS = {"out": None}
-_PREPROCESS_DEFAULTS = {
-    "blur_size": 5,
-    "blur_sigma": 1.0,
-    "fire_mask": None,  # {hue_lo, hue_hi, sat_lo, sat_hi, val_lo, val_hi}
-    "ice_mask": None,
-}
 
 
 class ConfigError(ValueError):
@@ -53,23 +46,67 @@ def _field_defaults(cls) -> dict:
             for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
 
 
-def _section_defaults() -> dict:
-    """Defaults of the [dataset], [model] and [train] sections, taken from
-    the dataclasses they configure."""
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a dataclass field's type hint: a bool is not
+    an int, an int is a float, a tuple is a list, and a dataclass is an
+    object holding its required fields and no others."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if origin is typing.Literal:
+        return value in args
+    if origin is tuple:
+        if args[-1] is Ellipsis:
+            return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(_fits(v, a) for v, a in zip(value, args)))
+    if dataclasses.is_dataclass(hint):
+        fields, hints = dataclasses.fields(hint), typing.get_type_hints(hint)
+        return (isinstance(value, dict) and set(value) <= set(hints)
+                and all(f.name in value for f in fields if f.default is dataclasses.MISSING)
+                and all(_fits(v, hints[k]) for k, v in value.items()))
+    if hint in (int, float) and isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _check_types(given: dict, hints: dict, where: str, error=ConfigError) -> None:
+    """Raise ``error`` naming the first key of ``given`` whose value does not
+    fit its type hint (see `_fits`); keys without a hint are not checked."""
+    for key, value in given.items():
+        hint = hints.get(key)
+        if hint is not None and not _fits(value, hint):
+            expected = hint.__name__ if isinstance(hint, type) else hint
+            raise error(f"{where} {key!r} is {value!r}, expected {expected}")
+
+
+def _sections() -> dict:
+    """Each section's defaults and the type hints of its keys, taken from
+    the dataclasses it configures."""
     from .datagen import DatasetSpec
+    from .ingest import PreprocessConfig
     from .mbonet import TrainConfig
     from .metanet import MetaEncoder
 
     train = _field_defaults(TrainConfig)
     model = {"kind": "mbo", **{k: train.pop(k) for k in _MODEL_FIELDS},
              **_field_defaults(MetaEncoder)}
-    return {"dataset": _field_defaults(DatasetSpec), "model": model, "train": train}
+    hints = typing.get_type_hints
+    return {
+        "dataset": (_field_defaults(DatasetSpec), hints(DatasetSpec)),
+        "model": (model, {**hints(TrainConfig), **hints(MetaEncoder)}),
+        "train": (train, hints(TrainConfig)),
+        "preprocess": (_field_defaults(PreprocessConfig), hints(PreprocessConfig)),
+    }
 
 
-def _merge_section(name: str, defaults: dict, given: dict) -> dict:
+def _merge_section(name: str, defaults: dict, hints: dict, given) -> dict:
+    if not isinstance(given, dict):
+        raise ConfigError(f"[{name}] must be a JSON object, got {given!r}")
     unknown = set(given) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
+    _check_types(given, hints, f"[{name}]")
     merged = dict(defaults)
     merged.update(given)
     return merged
@@ -79,13 +116,12 @@ def resolve_config(raw: dict) -> dict:
     """Validate a raw config document and fill defaults for every field."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(raw) - set(_SECTIONS)
+    sections = _sections()
+    unknown = set(raw) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    defaults = {**_section_defaults(), "eval": _EVAL_DEFAULTS, "io": _IO_DEFAULTS,
-                "preprocess": _PREPROCESS_DEFAULTS}
-    resolved = {name: _merge_section(name, defaults[name], raw.get(name, {}))
-                for name in _SECTIONS}
+    resolved = {name: _merge_section(name, defaults, hints, raw.get(name, {}))
+                for name, (defaults, hints) in sections.items()}
     if resolved["model"]["kind"] not in ("mbo", "meta"):
         raise ConfigError(f"model.kind must be 'mbo' or 'meta', got {resolved['model']['kind']!r}")
     return resolved
@@ -108,13 +144,12 @@ def _write_resolved(config: dict, out_dir: Path) -> None:
     )
 
 
-def _dataset_spec(config: dict):
+def _dataset_spec(section: dict):
+    """A DatasetSpec from a [dataset] section or a manifest's spec: lists
+    (thresholds, families) become tuples."""
     from .datagen import DatasetSpec
 
-    section = dict(config["dataset"])
-    for key in ("thresholds", "families"):
-        section[key] = tuple(section[key])
-    return DatasetSpec(**section)
+    return DatasetSpec(**{k: tuple(v) if isinstance(v, list) else v for k, v in section.items()})
 
 
 def _train_config(config: dict):
@@ -173,13 +208,8 @@ def save_dataset(dataset, out_dir) -> Path:
 
 
 _VIDEO_FIELDS = ("id", "path", "split", "family", "threshold", "noise", "combo", "video")
-# (field, description, test) for the video entry fields load_dataset reads
-# as more than a label
-_VIDEO_FIELD_TYPES = (
-    ("id", "an integer", lambda v: isinstance(v, int) and not isinstance(v, bool)),
-    ("path", "a string", lambda v: isinstance(v, str)),
-    ("split", "'train' or 'test'", lambda v: v in ("train", "test")),
-)
+# the types of the video entry fields that are not SampleMeta labels
+_VIDEO_FIELD_TYPES = {"id": int, "path": str, "split": typing.Literal["train", "test"]}
 
 
 def load_dataset(directory):
@@ -206,24 +236,18 @@ def load_dataset(directory):
         raise IngestError(f"{directory}: unsupported dataset format")
     require(manifest, ("spec", "videos", "master_seed"), where)
     require(manifest["spec"], (), f"{where} 'spec'")
-    spec_data = dict(manifest["spec"])
-    unknown = set(spec_data) - {f.name for f in dataclasses.fields(DatasetSpec)}
+    hints = typing.get_type_hints(DatasetSpec)
+    unknown = set(manifest["spec"]) - set(hints)
     if unknown:
         raise IngestError(f"{where} 'spec' has unknown keys {sorted(unknown)}")
-    for key in ("thresholds", "families"):
-        if key in spec_data:
-            if not isinstance(spec_data[key], list):
-                raise IngestError(f"{where} 'spec' {key!r} is not a list")
-            spec_data[key] = tuple(spec_data[key])
-    spec = DatasetSpec(**spec_data)
+    _check_types(manifest["spec"], hints, f"{where} 'spec'", IngestError)
+    spec = _dataset_spec(manifest["spec"])
     if not isinstance(manifest["videos"], list):
         raise IngestError(f"{where} 'videos' is not a list")
+    entry_types = {**typing.get_type_hints(SampleMeta), **_VIDEO_FIELD_TYPES}
     for i, entry in enumerate(manifest["videos"]):
         require(entry, _VIDEO_FIELDS, f"{where} video entry {i}")
-        for key, expected, valid in _VIDEO_FIELD_TYPES:
-            if not valid(entry[key]):
-                raise IngestError(f"{where} video entry {i} {key!r} is {entry[key]!r}, "
-                                  f"expected {expected}")
+        _check_types(entry, entry_types, f"{where} video entry {i}", IngestError)
     combos = make_combos(spec)
     samples, train_idx, test_idx = [], [], []
     for entry in sorted(manifest["videos"], key=lambda e: e["id"]):
@@ -249,7 +273,7 @@ def load_dataset(directory):
 def cmd_gen(config: dict, out_dir: Path) -> int:
     from .datagen import build_dataset
 
-    spec = _dataset_spec(config)
+    spec = _dataset_spec(config["dataset"])
     log.info("generating dataset: %d combos x %d videos", spec.combo_count, spec.videos_per_combo)
     dataset = build_dataset(spec)
     save_dataset(dataset, out_dir)
@@ -358,7 +382,7 @@ def parse_frame_range(text) -> tuple[int, int] | None:
         raise ValueError(f"bad frame range {text!r}; expected e.g. '2-7'") from err
 
 
-def cmd_eval(pred_dir, truth_dir, frame_range, out_dir: Path, epsilon: float = 1e-8) -> int:
+def cmd_eval(pred_dir, truth_dir, frame_range, out_dir: Path) -> int:
     from .metrics import evaluate
 
     preds = _collect_videos(Path(pred_dir))
@@ -373,7 +397,7 @@ def cmd_eval(pred_dir, truth_dir, frame_range, out_dir: Path, epsilon: float = 1
                 f"video {name!r}: prediction {preds[name].shape} vs truth {truths[name].shape}"
             )
     report = evaluate([preds[n] for n in names], [truths[n] for n in names],
-                      frame_range=parse_frame_range(frame_range), epsilon=epsilon)
+                      frame_range=parse_frame_range(frame_range))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "report.json").write_text(report.to_json() + "\n")
     (out_dir / "report.txt").write_text(report.to_table() + "\n")

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import kernels
 from ._glyphs import random_glyph
-from .dynamics import HARD, DynParams, Video, rollout
+from .dynamics import DynParams, Video, rollout
 from .grid import Grid, as_grid, conv2d_same
 from .kernels import Kernel
 
@@ -188,7 +188,7 @@ def generate_video(frame0: Grid, kernel: Kernel, threshold: float, n_frames: int
     if n_frames < 2:
         raise ValueError("a video needs at least 2 frames")
     params = DynParams(kernel, threshold)
-    return rollout(frame0, params, n_steps=n_frames - 1, mode=HARD)
+    return rollout(frame0, params, n_steps=n_frames - 1)
 
 
 def gaussian_blur(video: Video, blur_size: int = 5, blur_sigma: float = 1.0) -> Video:

@@ -78,6 +78,16 @@ FIRE_DEFAULT_MASK = HsvMask(hue_lo=330.0, hue_hi=70.0, sat_lo=0.4, val_lo=0.5)
 ICE_RED_MASK = HsvMask(hue_lo=330.0, hue_hi=30.0, sat_lo=0.35, val_lo=0.3)
 
 
+@dataclass(frozen=True)
+class PreprocessConfig:
+    """The [preprocess] config section; a mask of None keeps the default."""
+
+    blur_size: int = 5
+    blur_sigma: float = 1.0
+    fire_mask: HsvMask | None = None
+    ice_mask: HsvMask | None = None
+
+
 def quantize(grid: Grid) -> np.ndarray:
     """Round-half-up 8-bit quantization of [0,1] values."""
     g = np.clip(np.asarray(grid, dtype=np.float64), 0.0, 1.0)
@@ -119,18 +129,20 @@ def load_frame(path) -> Grid | RgbImage:
     magic = data[:2]
     if magic not in (b"P5", b"P6"):
         raise IngestError(f"{path}: bad magic number {magic!r} at byte 0")
+    if not data[2:3].isspace():
+        raise IngestError(f"{path}: no whitespace after the magic number at byte 2")
     (width, height, maxval), offset = _read_pnm_tokens(data[2:], path, 3)
     offset += 2
     if maxval != 255:
         raise IngestError(f"{path}: only maxval 255 supported, got {maxval}")
+    if width == 0 or height == 0:
+        raise IngestError(f"{path}: empty {width}x{height} image")
     channels = 1 if magic == b"P5" else 3
     need = width * height * channels
-    raster = data[offset : offset + need]
+    raster = data[offset:]
     if len(raster) != need:
-        raise IngestError(
-            f"{path}: raster truncated at byte {offset + len(raster)} "
-            f"(expected {need} bytes from byte {offset})"
-        )
+        raise IngestError(f"{path}: raster from byte {offset} holds {len(raster)} bytes, "
+                          f"expected {need}")
     arr = np.frombuffer(raster, dtype=np.uint8)
     if channels == 1:
         return arr.reshape(height, width).astype(np.float64) / 255.0
@@ -270,13 +282,30 @@ def save_video(video: Video, directory, binary: bool | None = None,
 
 
 def load_video(directory) -> Video:
+    """The frames a video manifest lists, each checked against the
+    manifest's height and width."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
     if not manifest_path.exists():
         raise IngestError(f"{directory}: no manifest.json")
     manifest = json.loads(manifest_path.read_text())
-    frames = [
-        load_frame(directory / f"frame_{i:04d}.pgm")
-        for i in range(1, manifest["n_frames"] + 1)
-    ]
+    if not isinstance(manifest, dict):
+        raise IngestError(f"{manifest_path}: video manifest is not a JSON object")
+    for key in ("n_frames", "height", "width"):
+        if key not in manifest:
+            raise IngestError(f"{manifest_path}: video manifest has no {key!r}")
+        value = manifest[key]
+        if type(value) is not int or value < 1:
+            raise IngestError(f"{manifest_path}: video manifest {key!r} is {value!r}, "
+                              "expected a positive integer")
+    shape = (manifest["height"], manifest["width"])
+    frames = []
+    for i in range(1, manifest["n_frames"] + 1):
+        path = directory / f"frame_{i:04d}.pgm"
+        frame = load_frame(path)
+        got = frame.pixels.shape if isinstance(frame, RgbImage) else frame.shape
+        if got != shape:
+            raise IngestError(f"{path}: frame shape {got} is not the manifest's "
+                              f"(height, width) {shape}")
+        frames.append(frame)
     return np.stack(frames)

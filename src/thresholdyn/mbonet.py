@@ -40,7 +40,7 @@ from ._checkpoint import (
 )
 from .autodiff import Tape
 from .datagen import make_rng
-from .dynamics import HARD, DynParams, Video, rollout
+from .dynamics import DynParams, Video, rollout
 from .grid import Grid, as_grid
 from .kernels import Kernel, gaussian
 from .optim import Adam
@@ -272,7 +272,7 @@ def to_unit_mass(model: MboModel) -> MboModel:
 def predict(model: MboModel, frame0: Grid, n_steps: int) -> Video:
     """Hard-threshold rollout with the learned kernel and threshold; returns
     n_steps+1 frames including the input frame."""
-    return rollout(frame0, DynParams(model.kernel, model.threshold), n_steps, mode=HARD)
+    return rollout(frame0, DynParams(model.kernel, model.threshold), n_steps)
 
 
 def save_checkpoint(model: MboModel, directory) -> Path:

@@ -32,7 +32,7 @@ from ._checkpoint import (
 )
 from .autodiff import Node, Tape
 from .datagen import VideoSample, make_rng
-from .dynamics import HARD, DynParams, Video, rollout
+from .dynamics import DynParams, Video, rollout
 from .kernels import Kernel, gaussian
 from .mbonet import TrainConfig, fit, rollout_graph, stack
 
@@ -224,7 +224,7 @@ def predict(model: MetaModel, frames: Video, n_steps: int) -> tuple[Kernel, floa
     inferred dynamics parameters alongside the frames."""
     kernel_grid, a = encode(model, frames)
     params = DynParams(Kernel(kernel_grid, normalized=False), a)
-    video = rollout(np.asarray(frames, dtype=np.float64)[0], params, n_steps, mode=HARD)
+    video = rollout(np.asarray(frames, dtype=np.float64)[0], params, n_steps)
     return Kernel(kernel_grid, normalized=False), a, video
 
 

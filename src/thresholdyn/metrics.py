@@ -10,7 +10,7 @@ only asymmetric metric of the three.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -52,13 +52,14 @@ def jaccard(x: Grid, y: Grid) -> float:
     return inter / union
 
 
-def relative_mse(pred, truth, epsilon: float = DEFAULT_EPSILON) -> float:
-    """Sum of squared frame errors normalized by the true video's energy."""
+def relative_mse(pred, truth) -> float:
+    """Sum of squared frame errors normalized by the true video's energy
+    (plus DEFAULT_EPSILON, so an all-zero truth stays finite)."""
     pred = np.asarray(pred, dtype=np.float64)
     truth = np.asarray(truth, dtype=np.float64)
     if pred.shape != truth.shape:
         raise ValueError(f"relative_mse shape mismatch: {pred.shape} vs {truth.shape}")
-    return float(((pred - truth) ** 2).sum() / ((truth**2).sum() + epsilon))
+    return float(((pred - truth) ** 2).sum() / ((truth**2).sum() + DEFAULT_EPSILON))
 
 
 @dataclass
@@ -92,24 +93,8 @@ class EvalReport:
     frame_range: tuple[int, int] | None = None
     per_video: list[VideoScores] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "relative_mse": self.relative_mse,
-            "ssim": self.ssim,
-            "jaccard": self.jaccard,
-            "frame_range": list(self.frame_range) if self.frame_range else None,
-            "per_video": [
-                {
-                    "relative_mse": v.relative_mse,
-                    "ssim_per_frame": v.ssim_per_frame,
-                    "jaccard_per_frame": v.jaccard_per_frame,
-                }
-                for v in self.per_video
-            ],
-        }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
     def to_table(self) -> str:
         header = f"{'Relative MSE':>14} | {'SSIM Value':>10} | {'Jaccard Index':>13}"
@@ -128,7 +113,6 @@ def evaluate(
     pred_videos,
     truth_videos,
     frame_range: tuple[int, int] | None = None,
-    epsilon: float = DEFAULT_EPSILON,
 ) -> EvalReport:
     """Score aligned prediction/truth video lists.
 
@@ -157,7 +141,7 @@ def evaluate(
             pred, truth = pred[lo - 1 : hi], truth[lo - 1 : hi]
         per_video.append(
             VideoScores(
-                relative_mse=relative_mse(pred, truth, epsilon),
+                relative_mse=relative_mse(pred, truth),
                 ssim_per_frame=[ssim(p, t) for p, t in zip(pred, truth)],
                 jaccard_per_frame=[
                     jaccard(binarize(p), binarize(t)) for p, t in zip(pred, truth)

@@ -13,7 +13,7 @@ import pytest
 from thresholdyn import kernels, mbonet, metanet
 from thresholdyn.autodiff import Tape, gradcheck
 from thresholdyn.datagen import DatasetSpec, build_dataset, disk_frame
-from thresholdyn.dynamics import HARD, DynParams, step
+from thresholdyn.dynamics import DynParams, step
 from thresholdyn.grid import conv2d_same, measure
 from thresholdyn.mbonet import TrainConfig
 from thresholdyn.metrics import evaluate

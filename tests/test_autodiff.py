@@ -102,7 +102,7 @@ def build_mixed_ops(params, rng):
     b = tape.leaf(b_val, param=True, name="b")
     h = tape.relu(tape.dense(x, w, b))
     h = tape.mul(h, tape.sigmoid(h))
-    h = tape.reshape(tape.scale(h, 1.7), (12,))
+    h = tape.reshape(h, (12,))
     loss = tape.mse_loss(h, np.linspace(0, 1, 12))
     return tape, loss, {"x": x, "w": w, "b": b}
 
@@ -197,7 +197,7 @@ def test_shared_parameter_accumulates_across_layers():
 def test_backward_rejects_non_scalar_loss():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)), param=True)
-    y = tape.scale(x, 2.0)
+    y = tape.relu(x)
     with pytest.raises(ValueError):
         tape.backward(y)
 
@@ -374,7 +374,7 @@ def test_requires_grad_is_derived_from_params():
     tape = Tape()
     c = tape.leaf(np.ones(3))
     p = tape.leaf(np.ones(3), param=True)
-    constant = tape.scale(c, 2.0)
+    constant = tape.sigmoid(c)
     mixed = tape.add(constant, p)
     assert not c.requires_grad and not constant.requires_grad and constant.vjp is None
     assert p.requires_grad and mixed.requires_grad

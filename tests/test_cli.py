@@ -9,6 +9,9 @@ import pytest
 
 from thresholdyn.cli import (
     ConfigError,
+    _dataset_spec,
+    _train_config,
+    load_config,
     load_dataset,
     main,
     parse_frame_range,
@@ -33,7 +36,6 @@ def tiny_config(tmp_path, **overrides):
         },
         "model": {"kind": "mbo", "kernel_size": 5, "layers": 3},
         "train": {"epochs": 5, "seed": 1},
-        "io": {},
     }
     for section, values in overrides.items():
         config.setdefault(section, {}).update(values)
@@ -75,6 +77,52 @@ def test_resolve_config_defaults_are_pinned():
         "kind": "mbo", "kernel_size": 31, "steepness": 100.0, "layers": 3,
         "channels": [16, 32, 32],
     }
+
+
+@pytest.mark.parametrize("section", ["eval", "io"])
+def test_sections_no_command_reads_are_unknown(section):
+    with pytest.raises(ConfigError, match="unknown config sections"):
+        resolve_config({section: {}})
+
+
+@pytest.mark.parametrize("raw, needle", [
+    ({"train": {"epochs": True}}, "[train] 'epochs' is True, expected int"),
+    ({"model": {"steepness": "100"}}, "[model] 'steepness'"),
+    ({"model": {"channels": [16, 32]}}, "[model] 'channels'"),
+    ({"dataset": {"n_test": 1.5}}, "[dataset] 'n_test'"),
+    ({"dataset": {"families": ["gaussian", 3]}}, "[dataset] 'families'"),
+    ({"preprocess": {"ice_mask": {"hue_lo": 1.0}}}, "[preprocess] 'ice_mask'"),
+    ({"preprocess": {"fire_mask": {"hue_lo": 1, "hue_hi": 2, "val_hi": None}}},
+     "[preprocess] 'fire_mask'"),
+    ({"train": 5}, "[train] must be a JSON object"),
+], ids=["bool-for-int", "string-for-float", "two-channels", "float-for-int",
+        "family-not-a-string", "mask-without-hue-hi", "mask-value-null", "section-not-an-object"])
+def test_resolve_config_rejects_values_of_the_wrong_type(raw, needle):
+    with pytest.raises(ConfigError) as err:
+        resolve_config(raw)
+    assert needle in str(err.value)
+
+
+def test_resolve_config_accepts_the_types_the_dataclasses_declare():
+    resolved = resolve_config({
+        "dataset": {"n_combos": None, "n_test": 2, "thresholds": [1, 0.5]},
+        "model": {"steepness": 80, "channels": [4, 8, 8]},
+        "preprocess": {"fire_mask": {"hue_lo": 10, "hue_hi": 40.0, "val_lo": 0.2},
+                       "ice_mask": None},
+    })
+    assert resolved["model"]["steepness"] == 80
+    assert resolved["preprocess"]["fire_mask"]["val_lo"] == 0.2
+
+
+@pytest.mark.parametrize("recipe", sorted(Path(__file__).parents[1].glob("recipes/*.json")),
+                         ids=lambda p: p.stem)
+def test_every_recipe_loads(recipe):
+    config = load_config(recipe)
+    spec = _dataset_spec(config["dataset"])
+    train = _train_config(config)
+    assert spec.kernel_size == config["dataset"]["kernel_size"]
+    assert (train.epochs, train.kernel_size) == (config["train"]["epochs"],
+                                                 config["model"]["kernel_size"])
 
 
 def test_parse_frame_range():
@@ -226,6 +274,65 @@ def test_unknown_config_key_fails_before_work(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+def _single_error(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    return err[0]
+
+
+@pytest.mark.parametrize("command, section, values, needle", [
+    ("gen", "dataset", {"thresholds": "0.2"}, "[dataset] 'thresholds'"),
+    ("gen", "dataset", {"frame_size": "64"}, "[dataset] 'frame_size'"),
+    ("gen", "dataset", {"thresholds": [0.2, "x"]}, "[dataset] 'thresholds'"),
+    ("train", "train", {"epochs": "3"}, "[train] 'epochs'"),
+    ("train", "train", {"epochs": True}, "[train] 'epochs'"),
+    ("preprocess", "preprocess", {"blur_size": "5"}, "[preprocess] 'blur_size'"),
+    ("preprocess", "preprocess", {"fire_mask": {"bogus": 1}}, "[preprocess] 'fire_mask'"),
+], ids=["gen-thresholds-string", "gen-frame-size-string", "gen-threshold-not-a-number",
+        "train-epochs-string", "train-epochs-bool", "preprocess-blur-size-string",
+        "preprocess-unknown-mask-key"])
+def test_config_value_of_the_wrong_type_errors(tmp_path, capsys, command, section, values,
+                                               needle):
+    cfg = str(tiny_config(tmp_path, **{section: values}))
+    out = str(tmp_path / "out")
+    argv = {
+        "gen": ["gen", "--config", cfg, "--out", out],
+        "train": ["train", "--config", cfg, "--dataset", str(tmp_path / "none"), "--out", out],
+        "preprocess": ["preprocess", "--kind", "fire", "--input", str(tmp_path), "--config", cfg,
+                       "--out", out],
+    }[command]
+    assert main(argv) == 1
+    assert needle in _single_error(capsys)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("shape, edit, needle", [
+    ((3, 8, 8), lambda m: {k: v for k, v in m.items() if k != "n_frames"}, "has no 'n_frames'"),
+    ((3, 8, 8), lambda m: {**m, "n_frames": True}, "'n_frames' is True"),
+    ((3, 8, 8), lambda m: {**m, "height": "8"}, "'height' is '8'"),
+    ((3, 8, 8), lambda m: {**m, "width": 0}, "'width' is 0"),
+    ((3, 8, 8), lambda m: {**m, "width": 9}, "frame_0001.pgm"),
+    ((3, 8, 8), lambda m: [m], "not a JSON object"),
+    ((1, 0, 0), lambda m: m, "'height' is 0"),  # 0x0 frames, as save_video writes them
+], ids=["no-n-frames", "bool-n-frames", "height-string", "zero-width", "width-not-the-frames",
+        "not-an-object", "empty-frames"])
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_malformed_video_manifest_errors(tmp_path, capsys, command, shape, edit, needle):
+    from thresholdyn.ingest import save_video
+
+    video = save_video(np.zeros(shape), tmp_path / "video")
+    path = video / "manifest.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    out = str(tmp_path / "out")
+    argv = {
+        "eval": ["eval", "--pred", str(video), "--truth", str(video), "--out", out],
+        "predict": ["predict", "--checkpoint", str(_mbo_checkpoint(tmp_path)),
+                    "--frames", str(video), "--steps", "2", "--out", out],
+    }[command]
+    assert main(argv) == 1
+    assert needle in _single_error(capsys)
+
+
 def test_preprocess_fire_cli(tmp_path):
     from thresholdyn.ingest import RgbImage, save_frame
 
@@ -266,9 +373,16 @@ def _edit_first_entry(manifest, **fields):
     (lambda m: _edit_first_entry(m, split="validation"), "'split'"),
     (lambda m: {**m, "spec": {**m["spec"], "thresholds": 0.3}}, "'thresholds'"),
     (lambda m: {**m, "spec": {**m["spec"], "families": "gaussian"}}, "'families'"),
+    (lambda m: {**m, "spec": {**m["spec"], "frame_size": "24"}}, "'frame_size'"),
+    (lambda m: {**m, "spec": {**m["spec"], "thresholds": [0.3, "x"]}}, "'thresholds'"),
+    (lambda m: {**m, "spec": {**m["spec"], "n_frames": False}}, "'n_frames'"),
+    (lambda m: _edit_first_entry(m, threshold="0.3"), "'threshold'"),
+    (lambda m: _edit_first_entry(m, combo=True), "'combo'"),
 ], ids=["no-spec", "entry-without-path", "no-master-seed", "unknown-spec-key",
         "entry-not-an-object", "not-an-object", "path-not-a-string", "id-not-an-integer",
-        "unknown-split", "thresholds-not-a-list", "families-not-a-list"])
+        "unknown-split", "thresholds-not-a-list", "families-not-a-list",
+        "spec-frame-size-string", "spec-threshold-not-a-number", "spec-n-frames-bool",
+        "label-threshold-string", "label-combo-bool"])
 def test_train_malformed_dataset_manifest_errors(tmp_path, capsys, edit, needle):
     cfg = tiny_config(tmp_path)
     data = tmp_path / "data"

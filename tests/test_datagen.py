@@ -16,7 +16,7 @@ from thresholdyn.datagen import (
     salt_pepper,
     split_indices,
 )
-from thresholdyn.dynamics import HARD, DynParams, step
+from thresholdyn.dynamics import DynParams, step
 from thresholdyn.grid import measure
 
 
@@ -168,7 +168,7 @@ def test_build_dataset_counts_and_regeneration():
     for sample, combo in zip(ds.samples, [ds.combos[0]] * 3 + [ds.combos[1]] * 3):
         params = DynParams(combo.kernel, combo.threshold)
         for t in range(len(sample.clean) - 1):
-            np.testing.assert_array_equal(sample.clean[t + 1], step(sample.clean[t], params, HARD))
+            np.testing.assert_array_equal(sample.clean[t + 1], step(sample.clean[t], params))
 
 
 def test_build_dataset_bit_identical_reruns():

@@ -1,7 +1,11 @@
 """Image I/O round trips, HSV conversion, preprocessing fixtures."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thresholdyn.grid import measure
 from thresholdyn.ingest import (
@@ -69,11 +73,100 @@ def test_load_rejects_bad_magic(tmp_path):
         load_frame(path)
 
 
+def test_load_requires_whitespace_after_magic(tmp_path):
+    # "P501 1" would otherwise read as a 1x1 image, a leading zero on its width
+    path = tmp_path / "joined.pgm"
+    path.write_bytes(b"P501 1\n255\n\x00")
+    with pytest.raises(IngestError, match="whitespace"):
+        load_frame(path)
+
+
 def test_load_rejects_truncated_raster(tmp_path):
     path = tmp_path / "short.pgm"
     path.write_bytes(b"P5\n4 4\n255\n\x00\x00")
     with pytest.raises(IngestError, match="byte"):
         load_frame(path)
+
+
+def test_load_rejects_trailing_bytes(tmp_path):
+    path = tmp_path / "long.pgm"
+    path.write_bytes(b"P5\n2 1\n255\n\x00\x00\x00")
+    with pytest.raises(IngestError, match="holds 3 bytes, expected 2"):
+        load_frame(path)
+
+
+@pytest.mark.parametrize("header", [b"P5\n0 0\n255\n", b"P5\n0 4\n255\n", b"P6\n3 0\n255\n"])
+def test_load_rejects_empty_image(tmp_path, header):
+    path = tmp_path / "empty.pgm"
+    path.write_bytes(header)
+    with pytest.raises(IngestError, match="empty"):
+        load_frame(path)
+
+
+# hypothesis: random shapes and 8-bit values, then damaged copies of the file
+
+_shapes = st.tuples(st.integers(1, 12), st.integers(1, 12))
+
+
+@st.composite
+def _pnm_files(draw):
+    """(kind, 8-bit pixels) of a grayscale PGM or a color PPM image."""
+    kind = draw(st.sampled_from(["pgm", "ppm"]))
+    shape = draw(_shapes) + ((3,) if kind == "ppm" else ())
+    values = np.array(draw(st.lists(st.integers(0, 255), min_size=int(np.prod(shape)),
+                                    max_size=int(np.prod(shape)))), dtype=np.uint8)
+    return kind, values.reshape(shape)
+
+
+def _write(tmp_path_factory, kind, values):
+    path = tmp_path_factory.mktemp("pnm") / f"f.{kind}"
+    save_frame(RgbImage(values) if kind == "ppm" else values / 255.0, path)
+    return path
+
+
+def _pixels(frame):
+    return frame.pixels if isinstance(frame, RgbImage) else quantize(frame)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pnm_files())
+def test_pnm_roundtrip_is_exact(tmp_path_factory, case):
+    kind, values = case
+    loaded = load_frame(_write(tmp_path_factory, kind, values))
+    assert isinstance(loaded, RgbImage) == (kind == "ppm")
+    np.testing.assert_array_equal(_pixels(loaded), values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_pnm_files(), st.data())
+def test_truncated_pnm_raises_ingest_error(tmp_path_factory, case, data):
+    path = _write(tmp_path_factory, *case)
+    raw = path.read_bytes()
+    path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(IngestError):
+        load_frame(path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_pnm_files(), st.data())
+def test_corrupt_pnm_header_raises_ingest_error(tmp_path_factory, case, data):
+    # a corrupted header byte either fails with IngestError or, when one
+    # whitespace byte replaced another, still reads the same frame
+    kind, values = case
+    path = _write(tmp_path_factory, kind, values)
+    raw = bytearray(path.read_bytes())
+    header_end = len(raw) - values.size
+    pos = data.draw(st.integers(0, header_end - 1))
+    # digits, whitespace and '#' change the header's meaning; other bytes break it
+    byte = st.one_of(st.sampled_from(list(b"0123456789 \n#")), st.integers(0, 255))
+    raw[pos] = data.draw(byte.filter(lambda b: b != raw[pos]))
+    path.write_bytes(bytes(raw))
+    try:
+        loaded = load_frame(path)
+    except IngestError:
+        return
+    assert bytes(raw[pos : pos + 1]).isspace()
+    np.testing.assert_array_equal(_pixels(loaded), values)
 
 
 def test_rgb_to_hsv_known_colors():
@@ -179,8 +272,6 @@ def test_video_roundtrip(tmp_path):
     directory = save_video(video, tmp_path / "vid", provenance="synthetic")
     loaded = load_video(directory)
     np.testing.assert_array_equal(loaded, video)
-    import json
-
     manifest = json.loads((directory / "manifest.json").read_text())
     assert manifest["binary"] is True
     assert manifest["n_frames"] == 4

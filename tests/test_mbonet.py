@@ -15,7 +15,7 @@ from thresholdyn.datagen import (
     build_dataset,
     disk_frame,
 )
-from thresholdyn.dynamics import DynParams, Soft, step
+from thresholdyn.grid import conv2d_same
 from thresholdyn.mbonet import MboModel, TrainConfig, TrainingDiverged
 
 
@@ -42,12 +42,11 @@ def test_forward_train_delta_kernel_is_sigmoid_of_frame():
 
 def test_forward_train_matches_three_soft_steps():
     model = MboModel.initialize(5, seed=1, steepness=80.0, layers=3)
-    params = DynParams(kernels.Kernel(model.raw_kernel, normalized=False), model.threshold)
     frame = disk_frame(16, 5)
     preds = mbonet.forward_train(model, frame)
     x = frame
     for i in range(3):
-        x = step(x, params, Soft(80.0))
+        x = expit(80.0 * (conv2d_same(x, model.raw_kernel, method="direct") - model.threshold))
         np.testing.assert_allclose(preds[i], x, atol=1e-9)
 
 
