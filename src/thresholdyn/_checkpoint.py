@@ -2,18 +2,21 @@
 
 A checkpoint is a directory holding ``manifest.json`` (a JSON object with
 ``format_version`` and ``kind``, written with sorted keys) and one payload
-file: named tensors as little-endian float64, back to back.  Every check on
-reading raises ``ValueError`` naming the file or manifest field at fault.
+file: named tensors as little-endian float64, back to back.  Each loader
+describes its manifest fields by type hints, which `read_manifest` checks
+through `_records`.  Every check on reading raises ``ValueError`` naming the
+file or manifest field at fault.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 from pathlib import Path
 
 import numpy as np
+
+from ._records import check, read_object
 
 CHECKPOINT_FORMAT = 1
 
@@ -44,11 +47,11 @@ def write_checkpoint(directory, kind: str, fields: dict, payload: str, tensors) 
     return directory
 
 
-def read_manifest(directory: Path, kind: str) -> dict:
-    """A checkpoint's manifest, checked for format version and kind."""
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if not isinstance(manifest, dict):
-        raise ValueError(f"{directory}: checkpoint manifest is not a JSON object")
+def read_manifest(directory: Path, kind: str, hints: dict) -> dict:
+    """A checkpoint's manifest, checked for format version and kind, then for
+    every key of ``hints`` (see `_records.check`)."""
+    path = directory / "manifest.json"
+    manifest = read_object(path, "checkpoint manifest", ValueError)
     if manifest.get("format_version") != CHECKPOINT_FORMAT:
         raise ValueError(
             f"checkpoint format {manifest.get('format_version')} unsupported "
@@ -56,38 +59,7 @@ def read_manifest(directory: Path, kind: str) -> dict:
         )
     if manifest.get("kind") != kind:
         raise ValueError(f"not a {kind!r} checkpoint: kind={manifest.get('kind')!r}")
-    return manifest
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite(value) -> bool:
-    if not (_is_int(value) or isinstance(value, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int too large for a float
-        return False
-
-
-# (description, test) pairs for manifest_field
-ODD_SIZE = ("a positive odd integer", lambda v: _is_int(v) and v > 0 and v % 2 == 1)
-COUNT = ("a positive integer", lambda v: _is_int(v) and v > 0)
-FINITE = ("a finite number", _is_finite)
-POSITIVE = ("a positive finite number", lambda v: _is_finite(v) and v > 0)
-
-
-def manifest_field(manifest: dict, key: str, expected: str, valid):
-    """manifest[key], or a ValueError naming the field when it is missing or
-    fails ``valid``."""
-    if key not in manifest:
-        raise ValueError(f"checkpoint manifest has no {key!r}")
-    value = manifest[key]
-    if not valid(value):
-        raise ValueError(f"checkpoint manifest {key!r} is {value!r}, expected {expected}")
-    return value
+    return check(manifest, hints, f"{path}: checkpoint manifest", ValueError, required=hints)
 
 
 def read_tensors(path: Path, shapes) -> dict[str, np.ndarray]:

@@ -1,6 +1,11 @@
 """Command-line surface: dataset generation, training, prediction,
 evaluation, preprocessing.
 
+`train` trains the method the config's model.kind names: "mbo" (Method 1)
+or "meta" (Method 2).  Every JSON file a command reads (config, dataset or
+video manifest, checkpoint manifest) goes through `_records`, so a malformed
+one fails with one `error:` line naming the file or the field.
+
 All commands are reproducible: outputs are a pure function of (inputs,
 resolved config, seed); manifests carry no timestamps so reruns are
 byte-identical.  `--threads N` sets OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
@@ -21,9 +26,10 @@ import json
 import logging
 import os
 import sys
-import types
 import typing
 from pathlib import Path
+
+from ._records import check, read_object
 
 log = logging.getLogger("thresholdyn")
 
@@ -46,40 +52,6 @@ def _field_defaults(cls) -> dict:
             for f in dataclasses.fields(cls) if f.default is not dataclasses.MISSING}
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a dataclass field's type hint: a bool is not
-    an int, an int is a float, a tuple is a list, and a dataclass is an
-    object holding its required fields and no others."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, arg) for arg in args)
-    if origin is typing.Literal:
-        return value in args
-    if origin is tuple:
-        if args[-1] is Ellipsis:
-            return isinstance(value, list) and all(_fits(v, args[0]) for v in value)
-        return (isinstance(value, list) and len(value) == len(args)
-                and all(_fits(v, a) for v, a in zip(value, args)))
-    if dataclasses.is_dataclass(hint):
-        fields, hints = dataclasses.fields(hint), typing.get_type_hints(hint)
-        return (isinstance(value, dict) and set(value) <= set(hints)
-                and all(f.name in value for f in fields if f.default is dataclasses.MISSING)
-                and all(_fits(v, hints[k]) for k, v in value.items()))
-    if hint in (int, float) and isinstance(value, bool):
-        return False
-    return isinstance(value, (int, float) if hint is float else hint)
-
-
-def _check_types(given: dict, hints: dict, where: str, error=ConfigError) -> None:
-    """Raise ``error`` naming the first key of ``given`` whose value does not
-    fit its type hint (see `_fits`); keys without a hint are not checked."""
-    for key, value in given.items():
-        hint = hints.get(key)
-        if hint is not None and not _fits(value, hint):
-            expected = hint.__name__ if isinstance(hint, type) else hint
-            raise error(f"{where} {key!r} is {value!r}, expected {expected}")
-
-
 def _sections() -> dict:
     """Each section's defaults and the type hints of its keys, taken from
     the dataclasses it configures."""
@@ -94,22 +66,11 @@ def _sections() -> dict:
     hints = typing.get_type_hints
     return {
         "dataset": (_field_defaults(DatasetSpec), hints(DatasetSpec)),
-        "model": (model, {**hints(TrainConfig), **hints(MetaEncoder)}),
+        "model": (model, {"kind": typing.Literal["mbo", "meta"], **hints(TrainConfig),
+                          **hints(MetaEncoder)}),
         "train": (train, hints(TrainConfig)),
         "preprocess": (_field_defaults(PreprocessConfig), hints(PreprocessConfig)),
     }
-
-
-def _merge_section(name: str, defaults: dict, hints: dict, given) -> dict:
-    if not isinstance(given, dict):
-        raise ConfigError(f"[{name}] must be a JSON object, got {given!r}")
-    unknown = set(given) - set(defaults)
-    if unknown:
-        raise ConfigError(f"unknown keys in [{name}]: {sorted(unknown)}")
-    _check_types(given, hints, f"[{name}]")
-    merged = dict(defaults)
-    merged.update(given)
-    return merged
 
 
 def resolve_config(raw: dict) -> dict:
@@ -120,21 +81,13 @@ def resolve_config(raw: dict) -> dict:
     unknown = set(raw) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    resolved = {name: _merge_section(name, defaults, hints, raw.get(name, {}))
-                for name, (defaults, hints) in sections.items()}
-    if resolved["model"]["kind"] not in ("mbo", "meta"):
-        raise ConfigError(f"model.kind must be 'mbo' or 'meta', got {resolved['model']['kind']!r}")
-    return resolved
+    return {name: {**defaults, **check(raw.get(name, {}), {k: hints[k] for k in defaults},
+                                       f"[{name}]", ConfigError, closed=True)}
+            for name, (defaults, hints) in sections.items()}
 
 
 def load_config(path) -> dict:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as err:
-        raise ConfigError(f"cannot read config {path}: {err}") from err
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config {path} is not valid JSON: {err}") from err
-    return resolve_config(raw)
+    return resolve_config(read_object(path, "config", ConfigError))
 
 
 def _write_resolved(config: dict, out_dir: Path) -> None:
@@ -207,50 +160,38 @@ def save_dataset(dataset, out_dir) -> Path:
     return out_dir
 
 
-_VIDEO_FIELDS = ("id", "path", "split", "family", "threshold", "noise", "combo", "video")
-# the types of the video entry fields that are not SampleMeta labels
-_VIDEO_FIELD_TYPES = {"id": int, "path": str, "split": typing.Literal["train", "test"]}
-
-
 def load_dataset(directory):
     """Rebuild a Dataset (with quantized noisy frames) from disk.  A
     malformed manifest raises IngestError naming the field at fault."""
     from .datagen import Dataset, DatasetSpec, SampleMeta, VideoSample, make_combos
     from .ingest import IngestError, load_video
 
-    def require(record, fields, where: str) -> None:
-        if not isinstance(record, dict):
-            raise IngestError(f"{where} is not a JSON object")
-        missing = [name for name in fields if name not in record]
-        if missing:
-            raise IngestError(f"{where} has no {missing[0]!r}")
-
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise IngestError(f"{directory}: no dataset manifest.json")
-    manifest = json.loads(manifest_path.read_text())
     where = f"{manifest_path}: dataset manifest"
-    require(manifest, (), where)
+    manifest = read_object(manifest_path, "dataset manifest", IngestError)
     if manifest.get("format_version") != DATASET_MANIFEST_VERSION:
         raise IngestError(f"{directory}: unsupported dataset format")
-    require(manifest, ("spec", "videos", "master_seed"), where)
-    require(manifest["spec"], (), f"{where} 'spec'")
-    hints = typing.get_type_hints(DatasetSpec)
-    unknown = set(manifest["spec"]) - set(hints)
-    if unknown:
-        raise IngestError(f"{where} 'spec' has unknown keys {sorted(unknown)}")
-    _check_types(manifest["spec"], hints, f"{where} 'spec'", IngestError)
+    check(manifest, {"spec": dict, "videos": list, "master_seed": int}, where, IngestError,
+          required=("spec", "videos", "master_seed"))
+    check(manifest["spec"], typing.get_type_hints(DatasetSpec), f"{where} 'spec'", IngestError,
+          closed=True)
     spec = _dataset_spec(manifest["spec"])
-    if not isinstance(manifest["videos"], list):
-        raise IngestError(f"{where} 'videos' is not a list")
-    entry_types = {**typing.get_type_hints(SampleMeta), **_VIDEO_FIELD_TYPES}
-    for i, entry in enumerate(manifest["videos"]):
-        require(entry, _VIDEO_FIELDS, f"{where} video entry {i}")
-        _check_types(entry, entry_types, f"{where} video entry {i}", IngestError)
+    # an entry is a video's place in the split plus its SampleMeta labels
+    labels = typing.get_type_hints(SampleMeta)
+    del labels["seed"]
+    entry_hints = {"id": int, "path": str, "split": typing.Literal["train", "test"], **labels}
+    videos, n = manifest["videos"], len(manifest["videos"])
+    seen = set()
+    for i, entry in enumerate(videos):
+        check(entry, entry_hints, f"{where} video entry {i}", IngestError, required=entry_hints)
+        if not 0 <= entry["id"] < n or entry["id"] in seen:
+            raise IngestError(f"{where} video entry {i} 'id' is {entry['id']}, expected each "
+                              f"of 0..{n - 1} once")
+        seen.add(entry["id"])
     combos = make_combos(spec)
     samples, train_idx, test_idx = [], [], []
-    for entry in sorted(manifest["videos"], key=lambda e: e["id"]):
+    for entry in sorted(videos, key=lambda e: e["id"]):
         clean = load_video(directory / entry["path"] / "clean")
         noisy = load_video(directory / entry["path"] / "noisy")
         meta = SampleMeta(
@@ -288,29 +229,29 @@ def _write_loss_csv(history, path: Path) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def cmd_train(config: dict, dataset_dir, out_dir: Path, meta: bool = False) -> int:
+def cmd_train(config: dict, dataset_dir, out_dir: Path) -> int:
+    """Train Method 1 or Method 2, as the config's model.kind names."""
     from . import mbonet, metanet
     from .mbonet import TrainingDiverged
 
     dataset = load_dataset(dataset_dir)
     train_cfg = _train_config(config)
     samples = dataset.train_samples
+    meta = config["model"]["kind"] == "meta"
     log.info("training %s on %d videos for %d epochs",
              "metanet" if meta else "mbonet", len(samples), train_cfg.epochs)
     try:
         if meta:
             result = metanet.train(samples, train_cfg,
                                    channels=tuple(config["model"]["channels"]))
-            model = result.model
             save = metanet.save_checkpoint
         else:
             result = mbonet.train(samples, train_cfg)
-            model = result.model
             save = mbonet.save_checkpoint
     except TrainingDiverged as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    save(model, out_dir / "checkpoint")
+    save(result.model, out_dir / "checkpoint")
     _write_loss_csv(result.history, out_dir / "loss.csv")
     _write_resolved(config, out_dir)
     print(f"final loss {result.history[-1]:.6g} after {len(result.history)} epochs; "
@@ -321,8 +262,7 @@ def cmd_train(config: dict, dataset_dir, out_dir: Path, meta: bool = False) -> i
 def _load_any_checkpoint(path: Path):
     from . import mbonet, metanet
 
-    manifest = json.loads((Path(path) / "manifest.json").read_text())
-    kind = manifest.get("kind") if isinstance(manifest, dict) else None
+    kind = read_object(path / "manifest.json", "checkpoint manifest", ValueError).get("kind")
     if kind == "mbo":
         return mbonet.load_checkpoint(path), "mbo"
     if kind == "meta":
@@ -464,12 +404,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
 
-    for name in ("train", "train-meta"):
-        p = sub.add_parser(name, help=f"{name} on a generated dataset")
-        p.add_argument("--config", required=True)
-        p.add_argument("--dataset", required=True)
-        p.add_argument("--out", required=True)
-        p.add_argument("--seed", type=int, default=None)
+    p = sub.add_parser("train", help="train the config's model.kind on a generated dataset")
+    p.add_argument("--config", required=True)
+    p.add_argument("--dataset", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("predict", help="roll a trained model forward")
     p.add_argument("--checkpoint", required=True)
@@ -531,12 +470,11 @@ def main(argv=None) -> int:
             if args.seed is not None:
                 config["dataset"]["master_seed"] = args.seed
             return cmd_gen(config, Path(args.out))
-        if args.command in ("train", "train-meta"):
+        if args.command == "train":
             config = load_config(args.config)
             if args.seed is not None:
                 config["train"]["seed"] = args.seed
-            return cmd_train(config, args.dataset, Path(args.out),
-                             meta=args.command == "train-meta")
+            return cmd_train(config, args.dataset, Path(args.out))
         if args.command == "predict":
             return cmd_predict(args.checkpoint, args.frames, args.steps, Path(args.out))
         if args.command == "eval":

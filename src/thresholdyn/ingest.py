@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from ._records import PositiveInt, check, read_object
 from .datagen import gaussian_blur
 from .dynamics import Video
 from .grid import Grid, as_grid
@@ -286,18 +287,9 @@ def load_video(directory) -> Video:
     manifest's height and width."""
     directory = Path(directory)
     manifest_path = directory / "manifest.json"
-    if not manifest_path.exists():
-        raise IngestError(f"{directory}: no manifest.json")
-    manifest = json.loads(manifest_path.read_text())
-    if not isinstance(manifest, dict):
-        raise IngestError(f"{manifest_path}: video manifest is not a JSON object")
-    for key in ("n_frames", "height", "width"):
-        if key not in manifest:
-            raise IngestError(f"{manifest_path}: video manifest has no {key!r}")
-        value = manifest[key]
-        if type(value) is not int or value < 1:
-            raise IngestError(f"{manifest_path}: video manifest {key!r} is {value!r}, "
-                              "expected a positive integer")
+    hints = dict.fromkeys(("n_frames", "height", "width"), PositiveInt)
+    manifest = check(read_object(manifest_path, "video manifest", IngestError), hints,
+                     f"{manifest_path}: video manifest", IngestError, required=hints)
     shape = (manifest["height"], manifest["width"])
     frames = []
     for i in range(1, manifest["n_frames"] + 1):

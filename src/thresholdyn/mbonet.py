@@ -28,16 +28,8 @@ from pathlib import Path
 import numpy as np
 from scipy.special import expit, logit
 
-from ._checkpoint import (
-    COUNT,
-    FINITE,
-    ODD_SIZE,
-    POSITIVE,
-    manifest_field,
-    read_manifest,
-    read_tensors,
-    write_checkpoint,
-)
+from ._checkpoint import read_manifest, read_tensors, write_checkpoint
+from ._records import PositiveFloat, PositiveInt, PositiveOddInt
 from .autodiff import Tape
 from .datagen import make_rng
 from .dynamics import DynParams, Video, rollout
@@ -289,11 +281,14 @@ def save_checkpoint(model: MboModel, directory) -> Path:
 
 def load_checkpoint(directory) -> MboModel:
     directory = Path(directory)
-    manifest = read_manifest(directory, "mbo")
-    size = manifest_field(manifest, "kernel_size", *ODD_SIZE)
+    manifest = read_manifest(directory, "mbo", {
+        "kernel_size": PositiveOddInt, "raw_threshold": float, "s": PositiveFloat,
+        "layers": PositiveInt,
+    })
+    size = manifest["kernel_size"]
     return MboModel(
         raw_kernel=read_tensors(directory / "kernel.bin", [("kernel", (size, size))])["kernel"],
-        raw_threshold=manifest_field(manifest, "raw_threshold", *FINITE),
-        steepness=manifest_field(manifest, "s", *POSITIVE),
-        layers=manifest_field(manifest, "layers", *COUNT),
+        raw_threshold=manifest["raw_threshold"],
+        steepness=manifest["s"],
+        layers=manifest["layers"],
     )

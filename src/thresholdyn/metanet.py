@@ -18,18 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Annotated
 
 import numpy as np
 
-from ._checkpoint import (
-    COUNT,
-    ODD_SIZE,
-    POSITIVE,
-    manifest_field,
-    read_manifest,
-    read_tensors,
-    write_checkpoint,
-)
+from ._checkpoint import read_manifest, read_tensors, write_checkpoint
+from ._records import PositiveFloat, PositiveInt, PositiveOddInt
 from .autodiff import Node, Tape
 from .datagen import VideoSample, make_rng
 from .dynamics import DynParams, Video, rollout
@@ -247,14 +241,16 @@ def load_checkpoint(directory) -> MetaModel:
     """Load a checkpoint whose tensor index matches the architecture its
     manifest declares, with a finite payload."""
     directory = Path(directory)
-    manifest = read_manifest(directory, "meta")
-    k = manifest_field(manifest, "kernel_size", *ODD_SIZE)
-    channels = manifest_field(manifest, "channels", "a non-empty list of positive integers",
-                              lambda v: isinstance(v, list) and v and all(COUNT[1](c) for c in v))
-    tensors = manifest_field(manifest, "tensors", "a list of {name, shape} entries",
-                             lambda v: isinstance(v, list) and all(
-                                 isinstance(e, dict) and set(e) == {"name", "shape"}
-                                 for e in v))
+    manifest = read_manifest(directory, "meta", {
+        "kernel_size": PositiveOddInt,
+        "channels": Annotated[tuple[PositiveInt, ...], "a non-empty list of positive integers",
+                              bool],
+        "tensors": Annotated[tuple[dict, ...], "a list of {name, shape} entries",
+                             lambda v: all(set(e) == {"name", "shape"} for e in v)],
+        "s": PositiveFloat,
+        "layers": PositiveInt,
+    })
+    k, channels, tensors = manifest["kernel_size"], manifest["channels"], manifest["tensors"]
     expected = _weight_shapes(k, channels)
     names = [entry["name"] for entry in tensors]
     if sorted(names, key=str) != sorted(expected):
@@ -266,5 +262,4 @@ def load_checkpoint(directory) -> MetaModel:
                              f"expected {list(expected[entry['name']])}")
     weights = read_tensors(directory / "weights.bin", [(n, expected[n]) for n in names])
     encoder = MetaEncoder(kernel_size=k, channels=tuple(channels), weights=weights)
-    return MetaModel(encoder=encoder, steepness=manifest_field(manifest, "s", *POSITIVE),
-                     layers=manifest_field(manifest, "layers", *COUNT))
+    return MetaModel(encoder=encoder, steepness=manifest["s"], layers=manifest["layers"])

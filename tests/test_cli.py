@@ -94,9 +94,13 @@ def test_sections_no_command_reads_are_unknown(section):
     ({"preprocess": {"ice_mask": {"hue_lo": 1.0}}}, "[preprocess] 'ice_mask'"),
     ({"preprocess": {"fire_mask": {"hue_lo": 1, "hue_hi": 2, "val_hi": None}}},
      "[preprocess] 'fire_mask'"),
-    ({"train": 5}, "[train] must be a JSON object"),
+    ({"train": 5}, "[train] is not a JSON object"),
+    ({"model": {"steepness": float("inf")}}, "[model] 'steepness' is inf, expected float"),
+    ({"dataset": {"blur_sigma": float("nan")}}, "[dataset] 'blur_sigma' is nan"),
+    ({"model": {"kind": "transformer"}}, "[model] 'kind' is 'transformer', expected 'mbo' or 'meta'"),
 ], ids=["bool-for-int", "string-for-float", "two-channels", "float-for-int",
-        "family-not-a-string", "mask-without-hue-hi", "mask-value-null", "section-not-an-object"])
+        "family-not-a-string", "mask-without-hue-hi", "mask-value-null", "section-not-an-object",
+        "infinite-float", "nan-float", "unknown-kind"])
 def test_resolve_config_rejects_values_of_the_wrong_type(raw, needle):
     with pytest.raises(ConfigError) as err:
         resolve_config(raw)
@@ -218,7 +222,7 @@ def test_train_meta_smoke(tmp_path):
     )
     data, run = tmp_path / "data", tmp_path / "run"
     assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
-    assert main(["train-meta", "--config", str(cfg), "--dataset", str(data),
+    assert main(["train", "--config", str(cfg), "--dataset", str(data),
                  "--out", str(run)]) == 0
     manifest = json.loads((run / "checkpoint/manifest.json").read_text())
     assert manifest["kind"] == "meta"
@@ -286,10 +290,12 @@ def _single_error(capsys) -> str:
     ("gen", "dataset", {"thresholds": [0.2, "x"]}, "[dataset] 'thresholds'"),
     ("train", "train", {"epochs": "3"}, "[train] 'epochs'"),
     ("train", "train", {"epochs": True}, "[train] 'epochs'"),
+    ("train", "model", {"steepness": float("inf")}, "[model] 'steepness' is inf"),
     ("preprocess", "preprocess", {"blur_size": "5"}, "[preprocess] 'blur_size'"),
     ("preprocess", "preprocess", {"fire_mask": {"bogus": 1}}, "[preprocess] 'fire_mask'"),
 ], ids=["gen-thresholds-string", "gen-frame-size-string", "gen-threshold-not-a-number",
-        "train-epochs-string", "train-epochs-bool", "preprocess-blur-size-string",
+        "train-epochs-string", "train-epochs-bool", "train-steepness-infinite",
+        "preprocess-blur-size-string",
         "preprocess-unknown-mask-key"])
 def test_config_value_of_the_wrong_type_errors(tmp_path, capsys, command, section, values,
                                                needle):
@@ -378,11 +384,17 @@ def _edit_first_entry(manifest, **fields):
     (lambda m: {**m, "spec": {**m["spec"], "n_frames": False}}, "'n_frames'"),
     (lambda m: _edit_first_entry(m, threshold="0.3"), "'threshold'"),
     (lambda m: _edit_first_entry(m, combo=True), "'combo'"),
+    (lambda m: _edit_first_entry(m, threshold=float("nan")), "'threshold' is nan"),
+    (lambda m: {**m, "spec": {**m["spec"], "blur_sigma": float("inf")}}, "'blur_sigma' is inf"),
+    (lambda m: {**m, "videos": [{**v, "id": v["id"] + 5} for v in m["videos"]]},
+     "manifest.json: dataset manifest video entry 0 'id' is 5"),
+    (lambda m: _edit_first_entry(m, id=1), "video entry 1 'id' is 1"),
 ], ids=["no-spec", "entry-without-path", "no-master-seed", "unknown-spec-key",
         "entry-not-an-object", "not-an-object", "path-not-a-string", "id-not-an-integer",
         "unknown-split", "thresholds-not-a-list", "families-not-a-list",
         "spec-frame-size-string", "spec-threshold-not-a-number", "spec-n-frames-bool",
-        "label-threshold-string", "label-combo-bool"])
+        "label-threshold-string", "label-combo-bool", "label-threshold-nan",
+        "spec-blur-sigma-infinite", "ids-shifted", "id-twice"])
 def test_train_malformed_dataset_manifest_errors(tmp_path, capsys, edit, needle):
     cfg = tiny_config(tmp_path)
     data = tmp_path / "data"
@@ -439,7 +451,7 @@ def test_predict_mbo_manifest_missing_field_errors(tmp_path, capsys, field):
 
 @pytest.mark.parametrize("field,value", [
     ("kernel_size", 4), ("kernel_size", "5"), ("raw_threshold", None), ("s", -1.0),
-    ("layers", 0), ("layers", True),
+    ("layers", 0), ("layers", True), ("raw_threshold", float("nan")), ("s", float("inf")),
 ])
 def test_predict_mbo_manifest_bad_field_errors(tmp_path, capsys, field, value):
     ckpt = _mbo_checkpoint(tmp_path)
@@ -450,7 +462,7 @@ def test_predict_mbo_manifest_bad_field_errors(tmp_path, capsys, field, value):
 def test_predict_checkpoint_manifest_not_an_object_errors(tmp_path, capsys):
     ckpt = _mbo_checkpoint(tmp_path)
     (ckpt / "manifest.json").write_text("[1, 2]")
-    assert "kind" in _predict_errors(tmp_path, capsys, ckpt)
+    assert "checkpoint manifest is not a JSON object" in _predict_errors(tmp_path, capsys, ckpt)
 
 
 @pytest.mark.parametrize("make", [_mbo_checkpoint, _meta_checkpoint])
@@ -461,6 +473,30 @@ def test_predict_nan_payload_errors(tmp_path, capsys, make):
     values[1] = np.nan
     payload.write_bytes(values.tobytes())
     assert "non-finite" in _predict_errors(tmp_path, capsys, ckpt)
+
+
+@pytest.mark.parametrize("kind", ["config", "dataset manifest", "video manifest",
+                                  "checkpoint manifest"])
+def test_json_that_does_not_parse_names_its_file(tmp_path, capsys, kind):
+    cfg = tiny_config(tmp_path)
+    data, out = tmp_path / "data", str(tmp_path / "out")
+    assert main(["gen", "--config", str(cfg), "--out", str(data)]) == 0
+    video = data / "videos/vid_0000/clean"
+    ckpt = _mbo_checkpoint(tmp_path)
+    path, argv = {
+        "config": (cfg, ["gen", "--config", str(cfg), "--out", out]),
+        "dataset manifest": (data / "manifest.json",
+                             ["train", "--config", str(cfg), "--dataset", str(data), "--out", out]),
+        "video manifest": (video / "manifest.json",
+                           ["eval", "--pred", str(video), "--truth", str(video), "--out", out]),
+        "checkpoint manifest": (ckpt / "manifest.json",
+                                ["predict", "--checkpoint", str(ckpt), "--frames", str(video),
+                                 "--steps", "2", "--out", out]),
+    }[kind]
+    path.write_text("{")
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert f"error: {path}: {kind} is not valid JSON" in _single_error(capsys)
 
 
 def _shape_of(name, shape):
