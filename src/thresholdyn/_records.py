@@ -19,6 +19,7 @@ from pathlib import Path
 from typing import Annotated
 
 PositiveInt = Annotated[int, "a positive integer", lambda v: v > 0]
+NonNegativeInt = Annotated[int, "a non-negative integer", lambda v: v >= 0]
 PositiveOddInt = Annotated[int, "a positive odd integer", lambda v: v > 0 and v % 2 == 1]
 PositiveFloat = Annotated[float, "a positive finite number", lambda v: v > 0]
 
@@ -39,6 +40,11 @@ def read_object(path, what: str, error) -> dict:
     return value
 
 
+def hints(cls) -> dict:
+    """The type hints of a dataclass's fields, ``Annotated`` rules kept."""
+    return typing.get_type_hints(cls, include_extras=True)
+
+
 def fits(value, hint) -> bool:
     """Whether a JSON value fits a type hint (see the module docstring)."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
@@ -54,10 +60,10 @@ def fits(value, hint) -> bool:
         return (isinstance(value, list) and len(value) == len(args)
                 and all(fits(v, a) for v, a in zip(value, args)))
     if dataclasses.is_dataclass(hint):
-        fields, hints = dataclasses.fields(hint), typing.get_type_hints(hint)
-        return (isinstance(value, dict) and set(value) <= set(hints)
+        fields, declared = dataclasses.fields(hint), hints(hint)
+        return (isinstance(value, dict) and set(value) <= set(declared)
                 and all(f.name in value for f in fields if f.default is dataclasses.MISSING)
-                and all(fits(v, hints[k]) for k, v in value.items()))
+                and all(fits(v, declared[k]) for k, v in value.items()))
     if hint is float:  # the comparison is False for NaN, ±inf and ints past float range
         return type(value) in (int, float) and abs(value) <= sys.float_info.max
     if hint is int:

@@ -29,7 +29,7 @@ import sys
 import typing
 from pathlib import Path
 
-from ._records import check, read_object
+from ._records import check, hints, read_object
 
 log = logging.getLogger("thresholdyn")
 
@@ -63,7 +63,6 @@ def _sections() -> dict:
     train = _field_defaults(TrainConfig)
     model = {"kind": "mbo", **{k: train.pop(k) for k in _MODEL_FIELDS},
              **_field_defaults(MetaEncoder)}
-    hints = typing.get_type_hints
     return {
         "dataset": (_field_defaults(DatasetSpec), hints(DatasetSpec)),
         "model": (model, {"kind": typing.Literal["mbo", "meta"], **hints(TrainConfig),
@@ -81,9 +80,9 @@ def resolve_config(raw: dict) -> dict:
     unknown = set(raw) - set(sections)
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
-    return {name: {**defaults, **check(raw.get(name, {}), {k: hints[k] for k in defaults},
+    return {name: {**defaults, **check(raw.get(name, {}), {k: declared[k] for k in defaults},
                                        f"[{name}]", ConfigError, closed=True)}
-            for name, (defaults, hints) in sections.items()}
+            for name, (defaults, declared) in sections.items()}
 
 
 def load_config(path) -> dict:
@@ -174,11 +173,11 @@ def load_dataset(directory):
         raise IngestError(f"{directory}: unsupported dataset format")
     check(manifest, {"spec": dict, "videos": list, "master_seed": int}, where, IngestError,
           required=("spec", "videos", "master_seed"))
-    check(manifest["spec"], typing.get_type_hints(DatasetSpec), f"{where} 'spec'", IngestError,
+    check(manifest["spec"], hints(DatasetSpec), f"{where} 'spec'", IngestError,
           closed=True)
     spec = _dataset_spec(manifest["spec"])
     # an entry is a video's place in the split plus its SampleMeta labels
-    labels = typing.get_type_hints(SampleMeta)
+    labels = hints(SampleMeta)
     del labels["seed"]
     entry_hints = {"id": int, "path": str, "split": typing.Literal["train", "test"], **labels}
     videos, n = manifest["videos"], len(manifest["videos"])

@@ -14,6 +14,7 @@ import numpy as np
 
 from . import kernels
 from ._glyphs import random_glyph
+from ._records import PositiveInt, PositiveOddInt
 from .dynamics import DynParams, Video, rollout
 from .grid import Grid, as_grid, conv2d_same
 from .kernels import Kernel
@@ -62,9 +63,9 @@ class DatasetSpec:
     pair exactly five distinct sampled kernels.
     """
 
-    frame_size: int = 64
+    frame_size: PositiveInt = 64
     n_frames: int = 7
-    kernel_size: int = 31
+    kernel_size: PositiveOddInt = 31
     thresholds: tuple[float, ...] = (0.2, 0.3, 0.5, 0.6)
     families: tuple[str, ...] = FAMILIES
     n_combos: int | None = None
@@ -86,10 +87,10 @@ class DatasetSpec:
         for a in self.thresholds:
             if not 0.0 < a < 1.0:
                 raise ValueError(f"thresholds must lie in (0,1), got {a}")
-        if self.videos_per_combo < 1:
-            raise ValueError("videos_per_combo must be >= 1")
-        if self.kernel_size % 2 == 0:
-            raise ValueError("kernel_size must be odd")
+        if min(self.videos_per_combo, self.frame_size) < 1:
+            raise ValueError("videos_per_combo and frame_size must be >= 1")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ValueError("kernel_size must be positive and odd")
 
     @property
     def combo_count(self) -> int:

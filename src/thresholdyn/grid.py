@@ -20,8 +20,9 @@ Grid = np.ndarray
 # 4.2x faster), but the desk recipes train k15 kernels, and acceptance
 # criteria 5-10 and the meta-desk benchmark were measured with the direct
 # path's rounding: criterion 9 passes by 0.004, and a rounding-level change
-# alone has moved it by 0.006.  The hard dynamics step asks for "direct"
-# whatever this value, so exact threshold ties never depend on it.
+# alone has moved it by 0.006.  The hard dynamics step does not read it: it
+# is decided by `_ThresholdScreen`, which matches the direct path bit for bit
+# at every kernel size.
 _FFT_KERNEL_AREA = 226
 
 
@@ -133,6 +134,90 @@ class _Spectral:
         return irfft2(spectrum, s=self.size, axes=(-2, -1))[..., rows, cols]
 
 
+class _ThresholdScreen:
+    """The hard threshold ``_correlate(x, kernel, "direct") >= a`` of (H, W)
+    frames, decided from the spectral correlation and rechecked by the direct
+    sum only where the two could disagree.  The result equals the direct one
+    bit for bit, ties included.  The kernel is transformed once, so one screen
+    serves every step of a rollout.
+
+    Tolerance.  With n = kh*kw, u = 2**-53 and gamma_n = n*u / (1 - n*u),
+    the direct sum is within gamma_n * |K|_1 * max|x| of the exact
+    correlation.  With P the number of transformed points and L = log2(P),
+    the spectral value is within
+
+        (7*L*(2 + sqrt(P)) + 2) * u * sqrt(H*W) * |K|_1 * max|x|
+
+    of it.  Each transform has a relative 2-norm error of at most 7*u*L (the
+    FFT bound of Higham, *Accuracy and Stability of Numerical Algorithms*,
+    Thm 24.2).  The kernel spectrum has 2-norm sqrt(P) * |K|_2, so no kernel
+    frequency is off by more than sqrt(P) * 7*u*L * |K|_2; no kernel
+    frequency exceeds |K|_1 in modulus; the product adds 2*u; the inverse
+    transform divides the 2-norm by sqrt(P); |x|_2 <= sqrt(H*W) * max|x|,
+    |K|_2 <= |K|_1, and a 2-norm bounds every entry.  tau is the sum of the
+    two bounds plus the smallest normal number, for underflow.
+
+    A pixel whose spectral value is more than tau from ``a`` has its exact
+    and its direct value on the same side of ``a`` as the spectral one;
+    every other pixel is recomputed with the direct sum over row segments of
+    the windows ``_correlate`` reads.  A frame or kernel that is not finite
+    takes the direct path whole.
+    """
+
+    def __init__(self, image_shape, kernel):
+        _check_kernel(image_shape, kernel.shape)
+        self.kernel = kernel
+        self.plan = _Spectral(image_shape, kernel.shape)
+        self.spectrum = self.plan.kernel_rfft(kernel).conj()
+        u = np.finfo(np.float64).eps / 2
+        n = kernel.size
+        points = float(np.prod(self.plan.size))
+        fft = ((7 * np.log2(points) * (2 + np.sqrt(points)) + 2) * u
+               * np.sqrt(float(np.prod(image_shape[-2:]))))
+        self.scale = np.abs(kernel).sum() * (n * u / (1 - n * u) + fft)
+
+    def value(self, x):
+        """The spectral correlation of x (H, W)."""
+        return self.plan.image(self.plan.rfft(x) * self.spectrum)
+
+    def tolerance(self, x) -> float:
+        """tau for x: NaN or inf when x or the kernel is not finite."""
+        return float(np.abs(x).max() * self.scale + np.finfo(np.float64).tiny)
+
+    def __call__(self, x, a: float) -> np.ndarray:
+        """Boolean (H, W): is the correlation of x at least ``a``?"""
+        tau = self.tolerance(x)
+        if not np.isfinite(tau):
+            return _correlate(x, self.kernel, "direct") >= a
+        value = self.value(x)
+        out = value >= a
+        # a NaN value (an overflow inside the transform) fails ">" and is rechecked
+        rows, cols = np.nonzero(~(np.abs(value - a) > tau))
+        if rows.size:
+            windows = _windows(x, self.kernel.shape)
+            cuts = np.flatnonzero((np.diff(rows) != 0) | (np.diff(cols) != 1)) + 1
+            for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, rows.size]):
+                r, c0, c1 = rows[lo], cols[lo], cols[hi - 1] + 1
+                out[r, c0:c1] = _direct(windows[r, c0:c1], self.kernel) >= a
+        return out
+
+
+def _windows(x, kernel_shape):
+    """The zero-padded (kh, kw) window around every pixel of x (..., H, W)."""
+    kh, kw = kernel_shape[-2:]
+    pad = [(0, 0)] * (x.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)]
+    return sliding_window_view(np.pad(x, pad), (kh, kw), axis=(-2, -1))
+
+
+def _direct(windows, kernel):
+    """The direct sum over ``_windows``.  A basic slice of the windows gives
+    the same bits as the whole: einsum sums each output's products in the
+    same order.  A contiguous copy of the slice does not."""
+    if kernel.ndim == 2:
+        return np.einsum("...uv,uv->...", windows, kernel)
+    return np.einsum("n...uv,nuv->n...", windows, kernel)
+
+
 def _correlate(x, kernel, method: str = "auto"):
     """Batched same-size cross-correlation.
 
@@ -142,12 +227,7 @@ def _correlate(x, kernel, method: str = "auto"):
     if _use_fft(kernel.shape, method):
         plan = _Spectral(x.shape, kernel.shape)
         return plan.image(plan.rfft(x) * plan.kernel_rfft(kernel).conj())
-    kh, kw = kernel.shape[-2:]
-    pad = [(0, 0)] * (x.ndim - 2) + [(kh // 2, kh // 2), (kw // 2, kw // 2)]
-    windows = sliding_window_view(np.pad(x, pad), (kh, kw), axis=(-2, -1))
-    if kernel.ndim == 2:
-        return np.einsum("...uv,uv->...", windows, kernel)
-    return np.einsum("n...uv,nuv->n...", windows, kernel)
+    return _direct(_windows(x, kernel.shape), kernel)
 
 
 def _convolve(x, kernel, method: str = "auto"):

@@ -29,7 +29,7 @@ import numpy as np
 from scipy.special import expit, logit
 
 from ._checkpoint import read_manifest, read_tensors, write_checkpoint
-from ._records import PositiveFloat, PositiveInt, PositiveOddInt
+from ._records import NonNegativeInt, PositiveFloat, PositiveInt, PositiveOddInt
 from .autodiff import Tape
 from .datagen import make_rng
 from .dynamics import DynParams, Video, rollout
@@ -63,19 +63,21 @@ class TrainConfig:
     threshold_lr: float = 0.1  # threshold (or threshold-head) learning rate
     encoder_lr: float = 1e-3  # meta only: shared feature-stack learning rate
     warmup_epochs: int = 0  # meta only: epochs with the kernel head frozen
-    batch_size: int = 0  # 0 = full dataset per step
+    batch_size: NonNegativeInt = 0  # 0 = full dataset per step
     seed: int = 0
     steepness: float = 100.0
-    kernel_size: int = 31
-    layers: int = 3
+    kernel_size: PositiveOddInt = 31
+    layers: PositiveInt = 3
 
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if min(self.lr, self.threshold_lr, self.encoder_lr) <= 0:
             raise ValueError("learning rates must be positive")
-        if self.kernel_size % 2 == 0:
-            raise ValueError("kernel_size must be odd")
+        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
+            raise ValueError("kernel_size must be positive and odd")
+        if self.layers < 1 or self.batch_size < 0:
+            raise ValueError("layers must be >= 1 and batch_size >= 0 (0 = full batch)")
 
 
 @dataclass

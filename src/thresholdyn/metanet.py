@@ -50,7 +50,7 @@ class MetaEncoder:
     """Conv stack (stride-2, relu) + front-band average pool + dense heads
     for the k*k kernel values and the (sigmoid-squashed) threshold."""
 
-    kernel_size: int
+    kernel_size: PositiveOddInt
     channels: tuple[int, int, int] = (16, 32, 32)
     weights: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 

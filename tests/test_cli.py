@@ -293,10 +293,16 @@ def _single_error(capsys) -> str:
     ("train", "model", {"steepness": float("inf")}, "[model] 'steepness' is inf"),
     ("preprocess", "preprocess", {"blur_size": "5"}, "[preprocess] 'blur_size'"),
     ("preprocess", "preprocess", {"fire_mask": {"bogus": 1}}, "[preprocess] 'fire_mask'"),
+    ("gen", "dataset", {"frame_size": 0}, "[dataset] 'frame_size' is 0"),
+    ("train", "model", {"layers": 0}, "[model] 'layers' is 0"),
+    ("train", "train", {"batch_size": -1}, "[train] 'batch_size' is -1"),
+    ("gen", "dataset", {"kernel_size": -1}, "[dataset] 'kernel_size' is -1"),
+    ("train", "model", {"kernel_size": -3}, "[model] 'kernel_size' is -3"),
 ], ids=["gen-thresholds-string", "gen-frame-size-string", "gen-threshold-not-a-number",
         "train-epochs-string", "train-epochs-bool", "train-steepness-infinite",
         "preprocess-blur-size-string",
-        "preprocess-unknown-mask-key"])
+        "preprocess-unknown-mask-key", "gen-frame-size-zero", "train-layers-zero",
+        "train-batch-size-negative", "gen-kernel-size-negative", "train-kernel-size-negative"])
 def test_config_value_of_the_wrong_type_errors(tmp_path, capsys, command, section, values,
                                                needle):
     cfg = str(tiny_config(tmp_path, **{section: values}))

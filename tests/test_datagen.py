@@ -208,3 +208,6 @@ def test_dataset_spec_validation():
         DatasetSpec(kernel_size=8)
     with pytest.raises(ValueError):
         DatasetSpec(families=("mystery",))
+    for bad in ({"frame_size": 0}, {"kernel_size": -1}):
+        with pytest.raises(ValueError):
+            DatasetSpec(**bad)

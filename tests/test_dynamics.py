@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit, logit
 
-from thresholdyn import kernels, mbonet
+from thresholdyn import datagen, grid, kernels, mbonet
 from thresholdyn.autodiff import Tape
 from thresholdyn.datagen import disk_frame
 from thresholdyn.dynamics import DynParams, rollout, step
 from thresholdyn.grid import conv2d_same, measure
+from thresholdyn.kernels import Kernel
 from thresholdyn.mbonet import MboModel
 
 
@@ -164,3 +167,107 @@ def test_half_plane_quasi_stationary():
     out = step(frame, params)
     # interface must not move except possibly within 1 pixel of the border
     np.testing.assert_array_equal(out[2:-2, 2:-2], frame[2:-2, 2:-2])
+
+
+def direct_step(frame, kernel, a):
+    """The reference hard step: the direct sum, then the threshold."""
+    return (conv2d_same(frame, kernel, method="direct") >= a).astype(np.float64)
+
+
+@st.composite
+def step_cases(draw):
+    """A frame, a kernel (one of the five families, or signed and possibly
+    rectangular, down to 1x1) and a threshold taken from the frame's own
+    direct values, so that exact ties reach the direct recheck."""
+    family = draw(st.sampled_from(datagen.FAMILIES + ("signed",)))
+    if family == "signed":
+        kh, kw = (2 * draw(st.integers(0, 15)) + 1 for _ in range(2))
+    else:
+        kh = kw = 2 * draw(st.integers(2, 15)) + 1
+    h, w = draw(st.integers(kh, 48)), draw(st.integers(kw, 48))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if family == "signed":
+        kernel = rng.standard_normal((kh, kw))
+    else:
+        kernel = datagen.sample_kernel(family, kh, rng).grid
+    if draw(st.booleans()):
+        frame = (rng.random((h, w)) < draw(st.floats(0.05, 0.95))).astype(np.float64)
+    else:
+        frame = rng.standard_normal((h, w))
+    values = conv2d_same(frame, kernel, method="direct")
+    inside = values[(values > 0) & (values < 1)]
+    if inside.size:
+        a = float(inside[draw(st.integers(0, inside.size - 1))])
+    else:
+        a = draw(st.floats(0.01, 0.99))
+    return frame, kernel, a
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=step_cases())
+def test_step_is_the_direct_step_bit_for_bit(case):
+    frame, kernel, a = case
+    got = step(frame, DynParams(Kernel(kernel, normalized=False), a))
+    np.testing.assert_array_equal(got, direct_step(frame, kernel, a))
+
+
+def test_exact_ties_map_to_one():
+    # a kernel of two halves gives exact sums; columns 0 (half the window in
+    # the zero padding) and 8 (half on the front) tie with a = 0.5
+    frame = np.zeros((16, 16))
+    frame[:, :8] = 1.0
+    kernel = np.zeros((3, 3))
+    kernel[1, :2] = 0.5
+    out = step(frame, DynParams(Kernel(kernel, normalized=False), 0.5))
+    assert (conv2d_same(frame, kernel, method="direct") == 0.5).sum() == 32
+    np.testing.assert_array_equal(out, direct_step(frame, kernel, 0.5))
+    assert out[:, 0].all() and out[:, 8].all()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_frame_or_kernel_gives_the_direct_result(bad):
+    rng = np.random.default_rng(3)
+    frame = (rng.random((20, 20)) > 0.5).astype(np.float64)
+    frame[4, 7] = bad
+    kernel = kernels.gaussian(5, sigma_x=1.0).grid
+    for a in (0.2, 0.5):
+        np.testing.assert_array_equal(step(frame, DynParams(Kernel(kernel), a)),
+                                      direct_step(frame, kernel, a))
+    frame = (rng.random((20, 20)) > 0.5).astype(np.float64)
+    kernel = kernel.copy()
+    kernel[0, 3] = bad
+    np.testing.assert_array_equal(step(frame, DynParams(Kernel(kernel, normalized=False), 0.5)),
+                                  direct_step(frame, kernel, 0.5))
+
+
+def test_rollout_transforms_its_kernel_once(monkeypatch):
+    calls = []
+    kernel_rfft = grid._Spectral.kernel_rfft
+
+    def counted(plan, kernel):
+        calls.append(kernel.shape)
+        return kernel_rfft(plan, kernel)
+
+    monkeypatch.setattr(grid._Spectral, "kernel_rfft", counted)
+    params = DynParams(kernels.gaussian(15, sigma_x=2.0), threshold=0.4)
+    video = rollout(disk_frame(48, 12), params, n_steps=6)
+    assert calls == [(15, 15)]
+    for t in range(6):
+        np.testing.assert_array_equal(video[t + 1], direct_step(video[t], params.kernel.grid, 0.4))
+
+
+@pytest.mark.parametrize("kernel_size,frame_size", [(15, 48), (31, 64)])
+def test_spectral_gap_is_far_inside_the_tolerance(kernel_size, frame_size):
+    """On the paper's data the measured |spectral - direct| is at most
+    tau/1000: the bound the screen trusts has a wide margin."""
+    spec = datagen.DatasetSpec(frame_size=frame_size, kernel_size=kernel_size,
+                               videos_per_combo=1, noise="blur", master_seed=5)
+    worst = 0.0
+    for combo in datagen.make_combos(spec):
+        screen = grid._ThresholdScreen((frame_size, frame_size), combo.kernel.grid)
+        for v in range(spec.videos_per_combo):
+            sample = datagen.generate_sample(spec, combo, v)
+            for frame in np.concatenate([sample.clean[:-1], sample.noisy]):
+                gap = np.abs(screen.value(frame) - conv2d_same(frame, combo.kernel.grid, "direct"))
+                worst = max(worst, gap.max() / screen.tolerance(frame))
+    assert 0 < worst <= 1e-3

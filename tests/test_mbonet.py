@@ -284,3 +284,9 @@ def test_checkpoint_rejects_bad_version(tmp_path):
     manifest.write_text(json.dumps(data))
     with pytest.raises(ValueError):
         mbonet.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [{"layers": 0}, {"batch_size": -1}, {"kernel_size": -1}])
+def test_train_config_rejects_values_out_of_range(bad):
+    with pytest.raises(ValueError):
+        TrainConfig(**bad)

@@ -1,5 +1,6 @@
 """The one JSON reader and type checker behind every file the program loads."""
 
+import dataclasses
 import math
 import re
 import sys
@@ -11,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import thresholdyn
-from thresholdyn._records import check, fits, read_object
+from thresholdyn._records import PositiveInt, check, fits, hints, read_object
 
 # the scalars a JSON document can hold, NaN and ±inf included
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=4))
@@ -45,6 +46,16 @@ def test_a_list_fits_a_homogeneous_tuple_when_every_item_fits(value, item):
 def test_annotated_narrows_its_type(value):
     positive = Annotated[int, "a positive integer", lambda v: v > 0]
     assert fits(value, positive) == (value > 0)
+
+
+@dataclasses.dataclass
+class Sized:
+    size: PositiveInt = 1
+
+
+def test_a_dataclass_field_keeps_its_annotated_rule():
+    assert hints(Sized) == {"size": PositiveInt}
+    assert fits({"size": 2}, Sized) and not fits({"size": 0}, Sized)
 
 
 def test_check_names_the_record_and_key():
