@@ -21,6 +21,13 @@ from scipy.special import expit
 
 from .grid import _Spectral, _check_kernel, _convolve, _correlate, _correlate_kernel, _use_fft
 
+# numpy evaluates ``a * f(b)`` in place in a fresh temporary f(b) of at least
+# this many bytes, as f(b) * a (its temporary elision), and complex
+# multiplication with FMA is not bitwise commutative.  So a whole-batch
+# ``x_hat * k_hat.conj()`` of per-sample spectra runs as conj(K) * X from this
+# size on and as X * conj(K) below it; the blocked forward keeps that order.
+_NUMPY_ELIDE_BYTES = 256 * 1024
+
 
 class Node:
     """One tape entry: cached forward value plus the vjp that pushes an
@@ -125,10 +132,17 @@ class Tape:
             a_b = av.reshape((-1,) + (1,) * (x.value.ndim - 1))
         else:
             raise ValueError(f"threshold shape {av.shape} incompatible with x {x.shape}")
-        y = expit(s * (x.value - a_b))
+        # in place, in the operation order of expit(s * (x - a)); y is made
+        # by np.subtract's out= so that a 0-d x still gives an array
+        y = np.subtract(x.value, a_b, out=np.empty(x.value.shape))
+        np.multiply(s, y, out=y)
+        expit(y, out=y)
 
         def vjp(g):
-            t = g * s * y * (1.0 - y)
+            # ((g * s) * y) * (1 - y), with one scratch array
+            t = np.multiply(g, s)
+            t *= y
+            t *= 1.0 - y
             if av.ndim == 0:
                 ga = -t.sum()
             else:
@@ -142,10 +156,18 @@ class Tape:
     def conv2d_same(self, image: Node, kernel: Node) -> Node:
         """Zero-padded same-size cross-correlation.  image (H,W) or (N,H,W);
         kernel (kh,kw) shared across the batch or (N,kh,kw) per sample.
-        Kernels that ``_use_fft`` sends to the FFT path keep their input and
-        kernel spectra for the vjp; a shared kernel's gradient is summed over
-        the batch in frequency space.  The image gradient is skipped when the
-        image needs none."""
+        The image gradient is skipped when the image needs none.
+
+        Kernels that ``_use_fft`` sends to the FFT path work through the
+        batch in the blocks of ``_Spectral.blocks`` (about 0.5 MB of spectrum
+        each), so no scratch array grows with the batch: only the input and
+        kernel spectra kept for the vjp and the outputs are batch-sized.  The
+        vjp transforms each block of the gradient once and forms the image
+        gradient in that buffer.  A shared kernel's gradient adds the
+        samples' cross spectra one at a time in batch order, then takes one
+        inverse transform.  That is the order numpy's ``sum(axis=0)`` adds
+        the rows of a (N, ...) array in, so the result has the bits of the
+        whole-batch formula ``lags((conj(G) * X).sum(axis=0))``."""
         image, kernel = self._as_node(image), self._as_node(kernel)
         xv, kv = image.value, kernel.value
         if xv.ndim not in (2, 3) or kv.ndim not in (2, 3):
@@ -153,19 +175,11 @@ class Tape:
         if kv.ndim == 3 and (xv.ndim != 3 or xv.shape[0] != kv.shape[0]):
             raise ValueError(f"per-sample kernels {kv.shape} need matching batch {xv.shape}")
         _check_kernel(xv.shape, kv.shape[-2:])
-        shared = kv.ndim == 2 and xv.ndim == 3
         need_x = image.requires_grad
         if _use_fft(kv.shape, "auto"):
-            plan = _Spectral(xv.shape, kv.shape)
-            x_hat, k_hat = plan.rfft(xv), plan.kernel_rfft(kv)
+            return self._spectral_conv(image, kernel, need_x)
 
-            def spectral_vjp(g):  # one transform of g serves both gradients
-                g_hat = plan.rfft(g)
-                cross = g_hat.conj() * x_hat
-                gx = plan.image(g_hat * k_hat) if need_x else None
-                return gx, plan.lags(cross.sum(axis=0) if shared else cross)
-
-            return self._push(Node(plan.image(x_hat * k_hat.conj()), (image, kernel), spectral_vjp))
+        shared = kv.ndim == 2 and xv.ndim == 3
 
         def vjp(g):
             gx = _convolve(g, kv, "direct") if need_x else None
@@ -173,6 +187,62 @@ class Tape:
             return gx, gk.sum(axis=0) if shared else gk
 
         return self._push(Node(_correlate(xv, kv, "direct"), (image, kernel), vjp))
+
+    def _spectral_conv(self, image: Node, kernel: Node, need_x: bool) -> Node:
+        """The FFT path of ``conv2d_same``, block by block.  A 2-D image is
+        a batch of one frame."""
+        xv, kv = image.value, kernel.value
+        frames = xv.reshape((-1,) + xv.shape[-2:])
+        n = frames.shape[0]
+        shared = kv.ndim == 2
+        plan = _Spectral(xv.shape, kv.shape)
+        blocks = plan.blocks(n)
+        x_hat = np.empty((n,) + plan.spectrum_shape, dtype=np.complex128)
+        if shared:
+            k_hat = plan.kernel_rfft(kv)
+            k_conj = k_hat.conj()
+        else:
+            k_hat = np.empty_like(x_hat)
+        swap = x_hat.nbytes >= _NUMPY_ELIDE_BYTES
+        out = np.empty(xv.shape)
+        out_frames = out.reshape(frames.shape)
+        for b in blocks:
+            x_hat[b] = plan.rfft(frames[b])
+            if shared:
+                product = x_hat[b] * k_conj
+            else:
+                k_hat[b] = plan.kernel_rfft(kv[b])
+                factors = (k_hat[b].conj(), x_hat[b])
+                product = np.multiply(*(factors if swap else factors[::-1]))
+            out_frames[b] = plan.image(product)
+
+        def vjp(g):
+            g = g.reshape(frames.shape)
+            gx = np.empty(frames.shape) if need_x else None
+            # per-sample kernel gradients laid out as `lags` lays out a whole
+            # batch, batch axis fastest: the kernel head's sums read them in
+            # memory order, so the layout is part of the bits
+            gk = None if shared else np.empty(kv.shape[1:] + (n,)).transpose(2, 0, 1)
+            cross_sum = None
+            for b in blocks:
+                g_hat = plan.rfft(g[b])
+                cross = g_hat.conj() * x_hat[b]
+                if not shared:
+                    gk[b] = plan.lags(cross)
+                else:
+                    for row in cross:
+                        if cross_sum is None:
+                            cross_sum = row.copy()
+                        else:
+                            cross_sum += row
+                if need_x:
+                    g_hat *= k_hat if shared else k_hat[b]
+                    gx[b] = plan.image(g_hat)
+            if shared:
+                gk = plan.lags(cross_sum)
+            return (gx.reshape(xv.shape) if need_x else None), gk
+
+        return self._push(Node(out, (image, kernel), vjp))
 
     def conv_layer(self, x: Node, w: Node, b: Node, stride: int = 1) -> Node:
         """Multichannel strided conv with zero padding (k-1)//2: x (N,Cin,H,W),
@@ -252,9 +322,17 @@ class Tape:
         tv = np.asarray(target, dtype=np.float64)
         if tv.shape != pred.value.shape:
             raise ValueError(f"mse shape mismatch: {pred.shape} vs {tv.shape}")
-        diff = pred.value - tv
-        m = diff.size
-        return self._push(Node((diff * diff).sum() / m, (pred,), lambda g: (g * 2.0 * diff / m,)))
+        pv, m = pred.value, tv.size
+        diff = pv - tv
+        diff *= diff
+
+        def vjp(g):  # (g * 2) * (pred - target) / m, the difference recomputed
+            grad = pv - tv
+            grad *= g * 2.0
+            grad /= m
+            return (grad,)
+
+        return self._push(Node(diff.sum() / m, (pred,), vjp))
 
     # ---- backward ----
 

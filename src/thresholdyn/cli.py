@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -389,6 +390,7 @@ def cmd_preprocess(kind: str, input_dir, config: dict, out_dir: Path) -> int:
 # ---- entry point ----
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="thresholdyn",

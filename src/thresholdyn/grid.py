@@ -25,6 +25,15 @@ Grid = np.ndarray
 # at every kernel size.
 _FFT_KERNEL_AREA = 226
 
+# Bytes of spectrum the tape's FFT convolution holds per block of frames
+# (`_Spectral.blocks`): 9 frames at 80x41, the k31 plan of a 64x64 frame.  A
+# block's scratch arrays then stay in the allocator's reused heap and near
+# the CPU caches instead of being mapped afresh for every batch-sized
+# transform.  On one core of a 2-vCPU VM, forward plus vjp of 100 such
+# frames took 30-40 ms with blocks of 4 to 32 frames, and about 53 ms with
+# blocks of 1 frame or of the whole batch.
+_BLOCK_SPECTRUM_BYTES = 1 << 19
+
 
 def as_grid(values) -> Grid:
     """Coerce input to a 2-D float64 array."""
@@ -59,11 +68,14 @@ def conv2d_same(image: Grid, kernel: Grid, method: str = "auto") -> Grid:
     """Cross-correlate ``image`` with ``kernel``: same output size, zero padding.
 
     out[p] = sum_q kernel[q] * image[p + q - c] with c = kernel center and
-    zero outside the image.  ``method`` is 'direct', 'fft' or 'auto' (direct
-    for small kernels); the fft path agrees with direct to ~1e-12 on
-    unit-scale data.
+    zero outside the image.  ``image`` is one (H, W) frame or an (N, H, W)
+    stack, each frame correlated with the same kernel and bit-equal to its
+    own call.  ``method`` is 'direct', 'fft' or 'auto' (direct for small
+    kernels); the fft path agrees with direct to ~1e-12 on unit-scale data.
     """
-    image = as_grid(image)
+    image = np.asarray(image, dtype=np.float64)
+    if image.ndim not in (2, 3):
+        raise ValueError(f"image must be (H, W) or (N, H, W), got shape {image.shape}")
     kernel = as_grid(kernel)
     _check_kernel(image.shape, kernel.shape)
     return _correlate(image, kernel, method)
@@ -102,6 +114,11 @@ class _Spectral:
     P >= H + c: a shift by at most c wraps only into the padding, never into
     the image.  H + c is the smallest such size, so P is the smallest fast
     size that is exact (80 for 64-pixel frames at k31, not 96).
+
+    ``blocks`` cuts a batch into runs of frames whose spectra fit in
+    ``_BLOCK_SPECTRUM_BYTES``.  Each transform acts on each frame alone, and
+    so does an elementwise product with its factors in a fixed order, so a
+    frame's result has the same bits whatever block holds it.
     """
 
     def __init__(self, image_shape, kernel_shape):
@@ -113,6 +130,18 @@ class _Spectral:
 
     def rfft(self, x):
         return rfft2(x, s=self.size, axes=(-2, -1))
+
+    @property
+    def spectrum_shape(self):
+        """The shape of one frame's spectrum."""
+        return (self.size[0], self.size[1] // 2 + 1)
+
+    def blocks(self, n: int) -> list[slice]:
+        """Consecutive slices covering a batch of n frames, each holding at
+        most ``_BLOCK_SPECTRUM_BYTES`` of spectrum (and at least one frame)."""
+        frame = 16 * self.spectrum_shape[0] * self.spectrum_shape[1]
+        step = max(1, _BLOCK_SPECTRUM_BYTES // frame)
+        return [slice(lo, min(lo + step, n)) for lo in range(0, n, step)]
 
     def kernel_rfft(self, kernel):
         kh, kw = self.kernel_shape

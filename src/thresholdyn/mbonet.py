@@ -21,6 +21,8 @@ training loop, with an Adam per parameter group.
 
 from __future__ import annotations
 
+import logging
+import time
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -36,6 +38,8 @@ from .dynamics import DynParams, Video, rollout
 from .grid import Grid, as_grid
 from .kernels import Kernel, gaussian
 from .optim import Adam
+
+log = logging.getLogger(__name__)
 
 
 class TrainingDiverged(RuntimeError):
@@ -162,9 +166,13 @@ def fit(params: dict[str, np.ndarray], groups: dict, loss_graph, n: int, config:
     ``params`` maps names to arrays, which are updated in place.  ``groups``
     maps a group name to (parameter names, learning rate); each group has its
     own Adam.  ``loss_graph(tape, nodes, idx)`` builds the loss of the samples
-    ``idx`` from the parameter leaves ``nodes``.  The ``frozen`` group is held
-    for the first ``config.warmup_epochs`` epochs.  Mini-batches are drawn
-    from a generator keyed on (config.seed, order_tag).
+    ``idx`` from the parameter leaves ``nodes``: an index array for a
+    mini-batch, the slice of every sample for a full batch.  The ``frozen``
+    group is held for the first ``config.warmup_epochs`` epochs.  Mini-batches
+    are drawn from a generator keyed on (config.seed, order_tag).  Each epoch
+    logs its loss and seconds at DEBUG level on the ``thresholdyn.mbonet``
+    logger (``THRESHOLDYN_LOG=debug`` for the CLI); nothing of it is written to
+    an output file.
     """
     optimizers = {name: Adam({k: params[k] for k in keys}, lr)
                   for name, (keys, lr) in groups.items()}
@@ -172,10 +180,14 @@ def fit(params: dict[str, np.ndarray], groups: dict, loss_graph, n: int, config:
     batch = config.batch_size if config.batch_size > 0 else n
     history = []
     for epoch in range(config.epochs):
-        order = order_rng.permutation(n) if batch < n else np.arange(n)
+        started = time.perf_counter()
+        if batch < n:
+            order = order_rng.permutation(n)
+            batches = [order[lo : lo + batch] for lo in range(0, n, batch)]
+        else:  # a slice, so that indexing the batched arrays makes views, not copies
+            batches = [slice(0, n)]
         epoch_loss = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
+        for idx in batches:
             tape = Tape()
             nodes = {k: tape.leaf(v, param=True, name=k) for k, v in params.items()}
             loss_node = loss_graph(tape, nodes, idx)
@@ -187,8 +199,11 @@ def fit(params: dict[str, np.ndarray], groups: dict, loss_graph, n: int, config:
                 if name == frozen and epoch < config.warmup_epochs:
                     continue
                 opt.step({k: grads[nodes[k]] for k in opt.params})
-            epoch_loss += value * (len(idx) / n)  # exactly value for one full batch
+            size = n if isinstance(idx, slice) else len(idx)
+            epoch_loss += value * (size / n)  # exactly value for one full batch
         history.append(epoch_loss)
+        log.debug("epoch %d loss %.10g in %.3f s", epoch, epoch_loss,
+                  time.perf_counter() - started)
     return history
 
 

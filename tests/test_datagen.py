@@ -17,7 +17,7 @@ from thresholdyn.datagen import (
     split_indices,
 )
 from thresholdyn.dynamics import DynParams, step
-from thresholdyn.grid import measure
+from thresholdyn.grid import conv2d_same, measure
 
 
 def test_disk_frame_pixel_count():
@@ -184,6 +184,27 @@ def test_build_dataset_noise_keeps_clean_targets():
     for s in ds.samples:
         assert set(np.unique(s.clean)) <= {0.0, 1.0}
         assert not np.array_equal(s.clean, s.noisy)
+
+
+def test_noise_free_samples_share_one_read_only_video():
+    for s in build_dataset(_tiny_spec()).samples:
+        assert s.noisy is s.clean and not s.clean.flags.writeable
+        with pytest.raises(ValueError):
+            s.noisy[0, 0, 0] = 1.0
+
+
+@pytest.mark.parametrize("noise", ["blur", "saltpepper"])
+def test_noisy_samples_are_new_writable_arrays(noise):
+    for s in build_dataset(_tiny_spec(noise=noise)).samples:
+        assert not np.shares_memory(s.noisy, s.clean)
+        assert s.clean.flags.writeable and s.noisy.flags.writeable
+
+
+def test_blur_of_a_video_has_the_bits_of_blurring_each_frame():
+    video = build_dataset(_tiny_spec()).samples[0].clean
+    k = kernels.gaussian(5, sigma_x=1.0).grid
+    frames = np.stack([conv2d_same(frame, k, method="direct") for frame in video])
+    assert gaussian_blur(video, 5, 1.0).tobytes() == frames.tobytes()
 
 
 def test_build_dataset_paper_scale_combo_structure():

@@ -159,3 +159,43 @@ def test_tape_conv_vjp_is_the_adjoint_of_conv2d_same(case, crossover):
     tolerance = _adjoint_tolerance(x, kernel, y)
     assert abs(lhs - np.vdot(x, gx)) <= tolerance
     assert abs(lhs - np.vdot(kernel, gk)) <= tolerance
+
+
+@st.composite
+def blocked_conv_cases(draw):
+    """(x, kernel, g, image_is_param): kernels on the FFT side of
+    ``_FFT_KERNEL_AREA``, shared or per sample, and a batch of 1, B-1, B,
+    B+1 or 3B+2 frames, B the plan's frames per block."""
+    h, w = draw(st.sampled_from((24, 40, 64))), draw(st.sampled_from((24, 40, 64)))
+    kh = draw(st.sampled_from([k for k in (17, 21, 31) if k <= h]))
+    kw = draw(st.sampled_from([k for k in (15, 17, 31) if k <= w]))
+    assert kh * kw >= grid._FFT_KERNEL_AREA
+    b = grid._Spectral((h, w), (kh, kw)).blocks(10**6)[0].stop
+    n = draw(st.sampled_from((1, b - 1, b, b + 1, 3 * b + 2)))
+    shared = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kernel = rng.normal(size=(kh, kw) if shared else (n, kh, kw))
+    return rng.normal(size=(n, h, w)), kernel, rng.normal(size=(n, h, w)), draw(st.booleans())
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=blocked_conv_cases())
+def test_blocked_tape_conv_has_the_bits_of_the_whole_batch(case):
+    x, kernel, g, image_is_param = case
+    tape = Tape()
+    node = tape.conv2d_same(tape.leaf(x, param=image_is_param), tape.leaf(kernel, param=True))
+    gx, gk = node.vjp(g)
+    # the whole-batch formulas, one transform of each batch
+    plan = grid._Spectral(x.shape, kernel.shape)
+    x_hat, k_hat = plan.rfft(x), plan.kernel_rfft(kernel)
+    value = plan.image(x_hat * k_hat.conj())
+    g_hat = plan.rfft(g)
+    cross = g_hat.conj() * x_hat
+    image_grad = plan.image(g_hat * k_hat)
+    kernel_grad = plan.lags(cross.sum(axis=0) if kernel.ndim == 2 else cross)
+    assert node.value.tobytes() == value.tobytes()
+    assert gk.tobytes() == kernel_grad.tobytes() and gk.strides == kernel_grad.strides
+    if image_is_param:
+        assert gx.tobytes() == image_grad.tobytes()
+    else:
+        assert gx is None

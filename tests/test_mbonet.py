@@ -1,5 +1,6 @@
 """Single-dynamics trainer: forward/loss contracts, determinism, checkpoints."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,33 @@ def test_train_minibatch_path():
     cfg = TrainConfig(epochs=10, kernel_size=5, seed=0, batch_size=2)
     res = mbonet.train(ds.samples, cfg)
     assert res.history[-1] < res.history[0]
+
+
+def test_full_batch_training_step_holds_no_batch_sized_scratch():
+    # 30 videos at the paper geometry (64x64, k31), full batch, 2 epochs.  The
+    # bound lies between the tracemalloc peaks measured above the dataset with
+    # whole-batch FFT scratch arrays and a batch copy per step (43.4 MB) and
+    # with the blocked spectral step and views (32.4 MB)
+    spec = DatasetSpec(frame_size=64, n_frames=5, kernel_size=31, thresholds=(0.2,),
+                       families=("gaussian",), n_combos=1, videos_per_combo=30, n_test=0,
+                       master_seed=7)
+    samples = build_dataset(spec).samples
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mbonet.train(samples, TrainConfig(epochs=2, kernel_size=31, seed=1))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 38e6, f"training peak {peak / 1e6:.1f} MB above the dataset"
+
+
+def test_train_logs_each_epoch_at_debug(caplog):
+    caplog.set_level("DEBUG", logger="thresholdyn.mbonet")
+    ds = tiny_dataset()
+    mbonet.train(ds.samples, TrainConfig(epochs=3, kernel_size=5, seed=0))
+    lines = [r.getMessage() for r in caplog.records if r.name == "thresholdyn.mbonet"]
+    assert len(lines) == 3 and all(" loss " in line and line.endswith(" s") for line in lines)
 
 
 def test_train_divergence_aborts_with_epoch():
