@@ -14,19 +14,10 @@ encoder's input frames) cost no image gradient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import expit
 
 from .grid import _Spectral, _check_kernel, _convolve, _correlate, _correlate_kernel, _use_fft
-
-# numpy evaluates ``a * f(b)`` in place in a fresh temporary f(b) of at least
-# this many bytes, as f(b) * a (its temporary elision), and complex
-# multiplication with FMA is not bitwise commutative.  So a whole-batch
-# ``x_hat * k_hat.conj()`` of per-sample spectra runs as conj(K) * X from this
-# size on and as X * conj(K) below it; the blocked forward keeps that order.
-_NUMPY_ELIDE_BYTES = 256 * 1024
 
 
 class Node:
@@ -182,11 +173,11 @@ class Tape:
         shared = kv.ndim == 2 and xv.ndim == 3
 
         def vjp(g):
-            gx = _convolve(g, kv, "direct") if need_x else None
+            gx = _convolve(g, kv) if need_x else None
             gk = _correlate_kernel(xv, g, kv.shape[-2:])
             return gx, gk.sum(axis=0) if shared else gk
 
-        return self._push(Node(_correlate(xv, kv, "direct"), (image, kernel), vjp))
+        return self._push(Node(_correlate(xv, kv), (image, kernel), vjp))
 
     def _spectral_conv(self, image: Node, kernel: Node, need_x: bool) -> Node:
         """The FFT path of ``conv2d_same``, block by block.  A 2-D image is
@@ -203,7 +194,6 @@ class Tape:
             k_conj = k_hat.conj()
         else:
             k_hat = np.empty_like(x_hat)
-        swap = x_hat.nbytes >= _NUMPY_ELIDE_BYTES
         out = np.empty(xv.shape)
         out_frames = out.reshape(frames.shape)
         for b in blocks:
@@ -211,9 +201,11 @@ class Tape:
             if shared:
                 product = x_hat[b] * k_conj
             else:
+                # one factor order at every batch size: complex multiplication
+                # with FMA is not bitwise commutative, and numpy's temporary
+                # elision reorders ``x * f(k)`` by the size of f(k)
                 k_hat[b] = plan.kernel_rfft(kv[b])
-                factors = (k_hat[b].conj(), x_hat[b])
-                product = np.multiply(*(factors if swap else factors[::-1]))
+                product = np.multiply(k_hat[b].conj(), x_hat[b])
             out_frames[b] = plan.image(product)
 
         def vjp(g):
@@ -357,51 +349,3 @@ class Tape:
             for n in self.nodes
             if n.is_param
         }
-
-
-@dataclass
-class GradcheckReport:
-    """Outcome of one finite-difference check."""
-
-    max_rel_error: float
-    step: float
-    param_errors: dict = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return self.max_rel_error <= 1e-4
-
-
-def gradcheck(builder, seed: int = 0, step: float = 1e-5) -> GradcheckReport:
-    """Compare backward() against central finite differences.
-
-    ``builder(params, rng)`` constructs a scalar-loss graph from seeded random
-    inputs and returns (tape, loss_node, param_nodes: dict[str, Node]); when
-    ``params`` is a dict of override arrays the builder must use those values
-    for the named parameters instead of inventing them.
-    """
-
-    def run(overrides):
-        rng = np.random.Generator(np.random.Philox(seed))
-        return builder(overrides, rng)
-
-    tape, loss, param_nodes = run(None)
-    grads = tape.backward(loss)
-    base = {name: np.array(node.value, copy=True) for name, node in param_nodes.items()}
-
-    errors = {}
-    for name, node in param_nodes.items():
-        analytic = grads[node]
-        fd = np.zeros_like(base[name])
-        flat = base[name].reshape(-1)
-        for i in range(flat.size):
-            for sign in (+1.0, -1.0):
-                values = {k: v.copy() for k, v in base.items()}
-                values[name].reshape(-1)[i] += sign * step
-                _, loss_node, _ = run(values)
-                fd.reshape(-1)[i] += sign * float(loss_node.value)
-        fd /= 2.0 * step
-        denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
-        errors[name] = float(np.max(np.abs(analytic - fd) / denom)) if flat.size else 0.0
-    worst = max(errors.values()) if errors else 0.0
-    return GradcheckReport(max_rel_error=worst, step=step, param_errors=errors)

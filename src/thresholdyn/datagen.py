@@ -86,6 +86,8 @@ class DatasetSpec:
     def __post_init__(self):
         if self.noise not in NOISE_KINDS:
             raise ValueError(f"noise must be one of {NOISE_KINDS}, got {self.noise!r}")
+        if not self.thresholds or not self.families:
+            raise ValueError("thresholds and families must each name at least one entry")
         for fam in self.families:
             if fam not in FAMILIES:
                 raise ValueError(f"unknown kernel family {fam!r}")
@@ -96,6 +98,10 @@ class DatasetSpec:
             raise ValueError("videos_per_combo and frame_size must be >= 1")
         if self.kernel_size < 1 or self.kernel_size % 2 == 0:
             raise ValueError("kernel_size must be positive and odd")
+        if not 0.0 <= self.train_fraction <= 1.0:
+            raise ValueError(f"train_fraction must lie in [0, 1], got {self.train_fraction}")
+        if self.n_test is not None and self.n_test < 0:
+            raise ValueError(f"n_test must be >= 0, got {self.n_test}")
 
     @property
     def combo_count(self) -> int:
@@ -176,19 +182,6 @@ def initial_frame(shape_source, size: int) -> Grid:
     return frame
 
 
-def disk_frame(size: int, radius: float, center: tuple[float, float] | None = None) -> Grid:
-    """Rasterize a disk by pixel-center membership (distance <= radius).
-    The default center is the pixel (size//2, size//2)."""
-    if center is None:
-        center = (size // 2, size // 2)
-    cy, cx = center
-    yy, xx = np.indices((size, size))
-    frame = ((yy - cy) ** 2 + (xx - cx) ** 2 <= radius**2).astype(np.float64)
-    if not frame.any():
-        raise ValueError("disk covers no pixel center")
-    return frame
-
-
 def generate_video(frame0: Grid, kernel: Kernel, threshold: float, n_frames: int) -> Video:
     """Hard-threshold evolution: n_frames frames including frame0."""
     if n_frames < 2:
@@ -201,7 +194,7 @@ def gaussian_blur(video: Video, blur_size: int = 5, blur_sigma: float = 1.0) -> 
     """Convolve every frame with a unit-sum Gaussian kernel, in one batched
     call (bit-equal to blurring frame by frame)."""
     k = kernels.gaussian(blur_size, sigma_x=blur_sigma).grid
-    return conv2d_same(video, k, method="direct")
+    return conv2d_same(video, k)
 
 
 def salt_pepper(video: Video, p: float, seed) -> Video:

@@ -6,11 +6,11 @@ sigmoid that relaxes this step for training is not here: it lives on the
 autodiff tape, in `mbonet.rollout_graph`, the one soft rollout both methods
 train through.
 
-Each step equals ``conv2d_same(frame, kernel, "direct") >= threshold`` bit
-for bit, exact ties included, at every kernel size.  It is decided from the
-spectral correlation, and only the pixels whose spectral value lies within a
-rounding bound of the threshold are recomputed with the direct sum (see
-`grid._ThresholdScreen`).  A rollout transforms its kernel once.
+Each step equals ``conv2d_same(frame, kernel) >= threshold``, the direct
+sum thresholded, bit for bit, exact ties included, at every kernel size.  It
+is decided from the spectral correlation, and only the pixels whose spectral
+value lies within a rounding bound of the threshold are recomputed with the
+direct sum (see `grid._ThresholdScreen`).  A rollout transforms its kernel once.
 """
 
 from __future__ import annotations

@@ -3,8 +3,10 @@
 A Grid is a plain 2-D float64 numpy array (row-major, values dimensionless).
 A BinaryGrid is a Grid whose entries are exactly 0.0 or 1.0.  ``conv2d_same``
 is cross-correlation (no kernel flip) with zero padding and "same" output
-size; the learned-filter convention used consistently across data generation,
-training and inference.
+size, taken by the direct sum; the learned-filter convention used
+consistently across data generation, training and inference.  Two FFT paths
+build on the same plan, `_Spectral`: the tape's training convolution for
+large kernels, and `_ThresholdScreen`, the hard step's exact threshold test.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from scipy.fft import irfft2, next_fast_len, rfft2
 
 Grid = np.ndarray
 
-# Kernels of at least this area take the FFT path under method="auto".  Speed
+# Kernels of at least this area take the tape's FFT path (`_use_fft`).  Speed
 # alone would put the crossover lower (at k15 on a 20x64x64 batch the FFT is
 # 4.2x faster), but the desk recipes train k15 kernels, and acceptance
 # criteria 5-10 and the meta-desk benchmark were measured with the direct
@@ -49,11 +51,6 @@ def is_binary(grid: Grid) -> bool:
     return bool(np.all((g == 0.0) | (g == 1.0)))
 
 
-def measure(binary: Grid) -> int:
-    """Number of 1-pixels in a binary grid."""
-    return int(np.count_nonzero(np.asarray(binary)))
-
-
 def _check_kernel(image_shape, kernel_shape) -> None:
     kh, kw = kernel_shape
     if kh % 2 == 0 or kw % 2 == 0:
@@ -64,21 +61,20 @@ def _check_kernel(image_shape, kernel_shape) -> None:
         )
 
 
-def conv2d_same(image: Grid, kernel: Grid, method: str = "auto") -> Grid:
+def conv2d_same(image: Grid, kernel: Grid) -> Grid:
     """Cross-correlate ``image`` with ``kernel``: same output size, zero padding.
 
     out[p] = sum_q kernel[q] * image[p + q - c] with c = kernel center and
-    zero outside the image.  ``image`` is one (H, W) frame or an (N, H, W)
-    stack, each frame correlated with the same kernel and bit-equal to its
-    own call.  ``method`` is 'direct', 'fft' or 'auto' (direct for small
-    kernels); the fft path agrees with direct to ~1e-12 on unit-scale data.
+    zero outside the image, by the direct sum.  ``image`` is one (H, W) frame
+    or an (N, H, W) stack, each frame correlated with the same kernel and
+    bit-equal to its own call.
     """
     image = np.asarray(image, dtype=np.float64)
     if image.ndim not in (2, 3):
         raise ValueError(f"image must be (H, W) or (N, H, W), got shape {image.shape}")
     kernel = as_grid(kernel)
     _check_kernel(image.shape, kernel.shape)
-    return _correlate(image, kernel, method)
+    return _correlate(image, kernel)
 
 
 def _use_fft(kernel_shape, method: str) -> bool:
@@ -97,8 +93,8 @@ def _flip(kernel):
 
 class _Spectral:
     """Real-FFT plan for same-size correlation of (..., H, W) images with odd
-    (kh, kw) kernels, shared by ``_correlate`` and the tape's FFT path, which
-    keeps the spectra for its vjp.
+    (kh, kw) kernels, shared by the tape's FFT path, which keeps the spectra
+    for its vjp, and by ``_ThresholdScreen``.
 
     Each axis is transformed at P = next_fast_len(H + c), c = kh // 2 the
     kernel center.  Kernels are transformed with their center moved to the
@@ -164,7 +160,7 @@ class _Spectral:
 
 
 class _ThresholdScreen:
-    """The hard threshold ``_correlate(x, kernel, "direct") >= a`` of (H, W)
+    """The hard threshold ``_correlate(x, kernel) >= a`` of (H, W)
     frames, decided from the spectral correlation and rechecked by the direct
     sum only where the two could disagree.  The result equals the direct one
     bit for bit, ties included.  The kernel is transformed once, so one screen
@@ -217,7 +213,7 @@ class _ThresholdScreen:
         """Boolean (H, W): is the correlation of x at least ``a``?"""
         tau = self.tolerance(x)
         if not np.isfinite(tau):
-            return _correlate(x, self.kernel, "direct") >= a
+            return _correlate(x, self.kernel) >= a
         value = self.value(x)
         out = value >= a
         # a NaN value (an overflow inside the transform) fails ">" and is rechecked
@@ -247,22 +243,19 @@ def _direct(windows, kernel):
     return np.einsum("n...uv,nuv->n...", windows, kernel)
 
 
-def _correlate(x, kernel, method: str = "auto"):
-    """Batched same-size cross-correlation.
+def _correlate(x, kernel):
+    """Batched same-size cross-correlation by the direct sum.
 
     Shapes: x (..., H, W) with kernel (kh, kw) shared, or x (N, H, W) with
     per-sample kernels (N, kh, kw).
     """
-    if _use_fft(kernel.shape, method):
-        plan = _Spectral(x.shape, kernel.shape)
-        return plan.image(plan.rfft(x) * plan.kernel_rfft(kernel).conj())
     return _direct(_windows(x, kernel.shape), kernel)
 
 
-def _convolve(x, kernel, method: str = "auto"):
+def _convolve(x, kernel):
     """Batched same-size true convolution (kernel flipped); adjoint of _correlate
     with respect to the image argument."""
-    return _correlate(x, _flip(kernel), method)
+    return _correlate(x, _flip(kernel))
 
 
 def _correlate_kernel(x, g, kernel_shape):

@@ -14,19 +14,16 @@ import numpy as np
 
 from .grid import Grid, as_grid
 
-_SUM_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class Kernel:
-    """A convolution kernel: an odd-sized grid plus its normalization flag.
+    """A convolution kernel: a 2-D float64 grid with odd side lengths.
 
-    Generated (ground-truth) kernels are nonnegative and unit-sum; learned
-    kernels may carry raw unconstrained values with normalized=False.
+    The constructors below return nonnegative unit-sum kernels; a learned
+    kernel holds its raw values, which may be signed and of any total mass.
     """
 
     grid: Grid
-    normalized: bool = True
 
     def __post_init__(self):
         g = as_grid(self.grid)
@@ -39,19 +36,13 @@ class Kernel:
         return self.grid.shape[0]
 
 
-def normalize(kernel) -> Kernel:
-    """Unit-sum normalize a grid or Kernel.  Idempotent: normalizing an
-    already-normalized Kernel returns it unchanged (bit-exact)."""
-    if isinstance(kernel, Kernel):
-        if kernel.normalized:
-            return kernel
-        grid = kernel.grid
-    else:
-        grid = as_grid(kernel)
+def normalize(grid: Grid) -> Kernel:
+    """The unit-sum Kernel of a grid."""
+    grid = as_grid(grid)
     total = grid.sum()
     if total <= 0 or not np.isfinite(total):
         raise ValueError("kernel sum must be positive and finite to normalize")
-    return Kernel(grid / total, normalized=True)
+    return Kernel(grid / total)
 
 
 def _offsets(size: int):
@@ -128,16 +119,3 @@ def raster(image: Grid) -> Kernel:
     if g.sum() <= 0:
         raise ValueError("raster image is all-zero; cannot normalize")
     return normalize(g)
-
-
-def delta(size: int = 1) -> Kernel:
-    """Identity kernel: single unit spike at the center."""
-    g = np.zeros((size, size))
-    g[size // 2, size // 2] = 1.0
-    return Kernel(g, normalized=True)
-
-
-def is_well_formed(kernel: Kernel) -> bool:
-    """Generated-kernel contract: entries >= 0 and sum within 1e-9 of 1."""
-    g = kernel.grid
-    return bool(np.all(g >= 0) and abs(g.sum() - 1.0) <= _SUM_TOL)

@@ -15,8 +15,7 @@ ground-truth kernel in `kernels` uses.
 This module also holds the training core that Method 2 (`metanet`) reuses,
 since its network is an encoder feeding per-video (K, a) into this same
 rollout: `stack` batches the videos, `rollout_graph` is the one soft rollout
-on the autodiff tape (training and evaluation alike), and `fit` is the one
-training loop, with an Adam per parameter group.
+on the autodiff tape, and `fit` is the one training loop, with an Adam per parameter group.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from ._records import NonNegativeInt, PositiveFloat, PositiveInt, PositiveOddInt
 from .autodiff import Tape
 from .datagen import make_rng
 from .dynamics import DynParams, Video, rollout
-from .grid import Grid, as_grid
+from .grid import Grid
 from .kernels import Kernel, gaussian
 from .optim import Adam
 
@@ -100,7 +99,7 @@ class MboModel:
 
     @property
     def kernel(self) -> Kernel:
-        return Kernel(self.raw_kernel, normalized=False)
+        return Kernel(self.raw_kernel)
 
     @classmethod
     def initialize(cls, kernel_size: int, seed: int = 0, steepness: float = 100.0,
@@ -205,30 +204,6 @@ def fit(params: dict[str, np.ndarray], groups: dict, loss_graph, n: int, config:
         log.debug("epoch %d loss %.10g in %.3f s", epoch, epoch_loss,
                   time.perf_counter() - started)
     return history
-
-
-def _rollout(model: MboModel, frame0, layers: int, targets=None):
-    """`rollout_graph` of the model's kernel and threshold on a fresh tape."""
-    tape = Tape()
-    return rollout_graph(tape, frame0, model.raw_kernel, tape.sigmoid(model.raw_threshold),
-                         model.steepness, layers, targets)
-
-
-def forward_train(model: MboModel, frame0: Grid, n_layers: int | None = None) -> Video:
-    """Soft predictions for frames 2..L+1 from the first frame."""
-    L = model.layers if n_layers is None else n_layers
-    if L < 1:
-        raise ValueError("need at least one layer")
-    preds, _ = _rollout(model, as_grid(frame0), L)
-    return np.stack([p.value for p in preds])
-
-
-def loss(model: MboModel, samples) -> float:
-    """Mean over videos of the per-pixel-normalized squared error summed over
-    frames 2..L+1, predictions rolled out from each sample's first frame."""
-    inputs, targets = stack(samples, model.layers, 1)
-    _, loss_node = _rollout(model, inputs[:, 0], model.layers, targets)
-    return float(loss_node.value)
 
 
 def train(samples, config: TrainConfig, model: MboModel | None = None) -> TrainResult:

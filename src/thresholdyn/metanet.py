@@ -25,7 +25,7 @@ import numpy as np
 from ._checkpoint import read_manifest, read_tensors, write_checkpoint
 from ._records import PositiveFloat, PositiveInt, PositiveOddInt
 from .autodiff import Node, Tape
-from .datagen import VideoSample, make_rng
+from .datagen import make_rng
 from .dynamics import DynParams, Video, rollout
 from .kernels import Kernel, gaussian
 from .mbonet import TrainConfig, fit, rollout_graph, stack
@@ -75,9 +75,6 @@ class MetaEncoder:
                 enc.weights[name] = rng.uniform(-bound, bound, size=shape)
         return enc
 
-    def parameter_count(self) -> int:
-        return sum(v.size for v in self.weights.values())
-
 
 @dataclass
 class MetaModel:
@@ -86,10 +83,6 @@ class MetaModel:
     encoder: MetaEncoder
     steepness: float = 100.0
     layers: int = 3
-
-    def parameter_count(self) -> int:
-        # the rollout stage is parameter-free by construction
-        return self.encoder.parameter_count()
 
 
 def _encoder_graph(tape: Tape, weights: dict[str, Node], frames: np.ndarray, k: int):
@@ -152,27 +145,6 @@ def encode(model: MetaModel, frames: Video) -> tuple[np.ndarray, float]:
     return np.array(kmat.value[0]), float(a.value[0])
 
 
-def _rollout(model: MetaModel, samples):
-    """Encode the samples and roll them out: (predictions, loss)."""
-    frames, targets = stack(samples, model.layers, INPUT_FRAMES)
-    tape = Tape()
-    nodes = _weight_nodes(tape, model.encoder.weights)
-    kmat, a = _encoder_graph(tape, nodes, frames, model.encoder.kernel_size)
-    return rollout_graph(tape, frames[:, 0], kmat, a, model.steepness, model.layers, targets)
-
-
-def forward_train(model: MetaModel, sample: VideoSample) -> Video:
-    """Soft predictions for frames 2..L+1 of one sample."""
-    preds, _ = _rollout(model, [sample])
-    return np.stack([p.value[0] for p in preds])
-
-
-def loss(model: MetaModel, samples) -> float:
-    """Mean over videos of per-pixel squared error summed over frames 2..L+1."""
-    _, loss_node = _rollout(model, samples)
-    return float(loss_node.value)
-
-
 @dataclass
 class MetaTrainResult:
     model: MetaModel
@@ -217,9 +189,9 @@ def predict(model: MetaModel, frames: Video, n_steps: int) -> tuple[Kernel, floa
     """Encode once, then hard rollout from the first frame; returns the
     inferred dynamics parameters alongside the frames."""
     kernel_grid, a = encode(model, frames)
-    params = DynParams(Kernel(kernel_grid, normalized=False), a)
+    params = DynParams(Kernel(kernel_grid), a)
     video = rollout(np.asarray(frames, dtype=np.float64)[0], params, n_steps)
-    return Kernel(kernel_grid, normalized=False), a, video
+    return params.kernel, a, video
 
 
 def save_checkpoint(model: MetaModel, directory) -> Path:

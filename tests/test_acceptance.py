@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 
 from thresholdyn import kernels, mbonet, metanet
-from thresholdyn.autodiff import Tape, gradcheck
-from thresholdyn.datagen import DatasetSpec, build_dataset, disk_frame
+from thresholdyn.autodiff import Tape
+from thresholdyn.datagen import DatasetSpec, build_dataset
 from thresholdyn.dynamics import DynParams, step
-from thresholdyn.grid import conv2d_same, measure
+from thresholdyn.grid import conv2d_same
 from thresholdyn.mbonet import TrainConfig
 from thresholdyn.metrics import evaluate
 
+from support import disk_frame, gradcheck, measure
 from test_grid import conv_oracle
 
 

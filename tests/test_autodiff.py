@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from thresholdyn import autodiff, grid
-from thresholdyn.autodiff import GradcheckReport, Tape, gradcheck
+from thresholdyn.autodiff import Tape
 from thresholdyn.grid import (
     _convolve,
     _correlate,
@@ -15,6 +15,8 @@ from thresholdyn.grid import (
     _use_fft,
     conv2d_same,
 )
+
+from support import GradcheckReport, gradcheck
 
 
 def test_mse_of_identical_inputs_has_zero_gradient():
@@ -252,8 +254,8 @@ def test_fft_path_matches_direct(x_shape, k_shape):
     expected_gk = _correlate_kernel(x_val, g, k_shape[-2:])
     if len(k_shape) == 2 and len(x_shape) == 3:
         expected_gk = expected_gk.sum(axis=0)
-    assert _rel(node.value, _correlate(x_val, k_val, "direct")) <= 1e-12
-    assert _rel(gx, _convolve(g, k_val, "direct")) <= 1e-12
+    assert _rel(node.value, _correlate(x_val, k_val)) <= 1e-12
+    assert _rel(gx, _convolve(g, k_val)) <= 1e-12
     assert _rel(gk, expected_gk) <= 1e-12
     assert gx.shape == x_shape and gk.shape == k_shape
 
@@ -295,9 +297,21 @@ def test_fft_path_is_exact_at_the_smallest_transform(k_shape):
     expected_gk = _correlate_kernel(x_val, g, k_shape[-2:])
     if len(k_shape) == 2:
         expected_gk = expected_gk.sum(axis=0)
-    assert _rel(node.value, _correlate(x_val, k_val, "direct")) <= 1e-12
-    assert _rel(gx, _convolve(g, k_val, "direct")) <= 1e-12
+    assert _rel(node.value, _correlate(x_val, k_val)) <= 1e-12
+    assert _rel(gx, _convolve(g, k_val)) <= 1e-12
     assert _rel(gk, expected_gk) <= 1e-12
+
+
+def test_per_sample_fft_conv_bits_do_not_depend_on_the_batch_size():
+    # 64x64 frames at k17: one frame holds 42 KiB of spectrum, eight hold 333 KiB
+    rng = np.random.default_rng(14)
+    x_val = rng.random((8, 64, 64))
+    k_val = rng.normal(size=(8, 17, 17))
+    tape = Tape()
+    whole = tape.conv2d_same(tape.leaf(x_val), tape.leaf(k_val, param=True)).value
+    for i in range(8):
+        alone = tape.conv2d_same(tape.leaf(x_val[i:i + 1]), tape.leaf(k_val[i:i + 1], param=True))
+        assert alone.value.tobytes() == whole[i:i + 1].tobytes()
 
 
 def test_transform_size_is_image_plus_kernel_center():

@@ -298,11 +298,17 @@ def _single_error(capsys) -> str:
     ("train", "train", {"batch_size": -1}, "[train] 'batch_size' is -1"),
     ("gen", "dataset", {"kernel_size": -1}, "[dataset] 'kernel_size' is -1"),
     ("train", "model", {"kernel_size": -3}, "[model] 'kernel_size' is -3"),
+    ("gen", "dataset", {"n_combos": 2, "thresholds": []}, "thresholds and families must each"),
+    ("gen", "dataset", {"n_combos": 2, "families": []}, "thresholds and families must each"),
+    ("gen", "dataset", {"train_fraction": 1.5}, "train_fraction must lie in [0, 1], got 1.5"),
+    ("gen", "dataset", {"n_test": -2}, "n_test must be >= 0, got -2"),
 ], ids=["gen-thresholds-string", "gen-frame-size-string", "gen-threshold-not-a-number",
         "train-epochs-string", "train-epochs-bool", "train-steepness-infinite",
         "preprocess-blur-size-string",
         "preprocess-unknown-mask-key", "gen-frame-size-zero", "train-layers-zero",
-        "train-batch-size-negative", "gen-kernel-size-negative", "train-kernel-size-negative"])
+        "train-batch-size-negative", "gen-kernel-size-negative", "train-kernel-size-negative",
+        "gen-no-thresholds", "gen-no-families", "gen-train-fraction-above-one",
+        "gen-n-test-negative"])
 def test_config_value_of_the_wrong_type_errors(tmp_path, capsys, command, section, values,
                                                needle):
     cfg = str(tiny_config(tmp_path, **{section: values}))
@@ -392,6 +398,7 @@ def _edit_first_entry(manifest, **fields):
     (lambda m: _edit_first_entry(m, combo=True), "'combo'"),
     (lambda m: _edit_first_entry(m, threshold=float("nan")), "'threshold' is nan"),
     (lambda m: {**m, "spec": {**m["spec"], "blur_sigma": float("inf")}}, "'blur_sigma' is inf"),
+    (lambda m: {**m, "spec": {**m["spec"], "families": []}}, "thresholds and families"),
     (lambda m: {**m, "videos": [{**v, "id": v["id"] + 5} for v in m["videos"]]},
      "manifest.json: dataset manifest video entry 0 'id' is 5"),
     (lambda m: _edit_first_entry(m, id=1), "video entry 1 'id' is 1"),
@@ -400,7 +407,7 @@ def _edit_first_entry(manifest, **fields):
         "unknown-split", "thresholds-not-a-list", "families-not-a-list",
         "spec-frame-size-string", "spec-threshold-not-a-number", "spec-n-frames-bool",
         "label-threshold-string", "label-combo-bool", "label-threshold-nan",
-        "spec-blur-sigma-infinite", "ids-shifted", "id-twice"])
+        "spec-blur-sigma-infinite", "spec-families-empty", "ids-shifted", "id-twice"])
 def test_train_malformed_dataset_manifest_errors(tmp_path, capsys, edit, needle):
     cfg = tiny_config(tmp_path)
     data = tmp_path / "data"

@@ -8,7 +8,6 @@ from thresholdyn.datagen import (
     Dataset,
     DatasetSpec,
     build_dataset,
-    disk_frame,
     gaussian_blur,
     generate_video,
     initial_frame,
@@ -17,7 +16,10 @@ from thresholdyn.datagen import (
     split_indices,
 )
 from thresholdyn.dynamics import DynParams, step
-from thresholdyn.grid import conv2d_same, measure
+from thresholdyn.grid import conv2d_same
+from thresholdyn.kernels import Kernel
+
+from support import disk_frame, measure
 
 
 def test_disk_frame_pixel_count():
@@ -67,7 +69,7 @@ def test_generate_video_thin_strokes_vanish_at_half():
 
 def test_generate_video_delta_kernel_constant():
     frame0 = disk_frame(32, 6)
-    video = generate_video(frame0, kernels.delta(3), 0.5, 5)
+    video = generate_video(frame0, Kernel(np.pad([[1.0]], 1)), 0.5, 5)
     for f in video:
         np.testing.assert_array_equal(f, frame0)
 
@@ -203,7 +205,7 @@ def test_noisy_samples_are_new_writable_arrays(noise):
 def test_blur_of_a_video_has_the_bits_of_blurring_each_frame():
     video = build_dataset(_tiny_spec()).samples[0].clean
     k = kernels.gaussian(5, sigma_x=1.0).grid
-    frames = np.stack([conv2d_same(frame, k, method="direct") for frame in video])
+    frames = np.stack([conv2d_same(frame, k) for frame in video])
     assert gaussian_blur(video, 5, 1.0).tobytes() == frames.tobytes()
 
 
@@ -229,6 +231,7 @@ def test_dataset_spec_validation():
         DatasetSpec(kernel_size=8)
     with pytest.raises(ValueError):
         DatasetSpec(families=("mystery",))
-    for bad in ({"frame_size": 0}, {"kernel_size": -1}):
+    for bad in ({"frame_size": 0}, {"kernel_size": -1}, {"thresholds": ()}, {"families": ()},
+                {"train_fraction": 1.5}, {"train_fraction": -0.1}, {"n_test": -2}):
         with pytest.raises(ValueError):
-            DatasetSpec(**bad)
+            DatasetSpec(n_combos=2, **bad)

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.special import expit, logit
 
-from thresholdyn import datagen, grid, kernels, mbonet
+from thresholdyn import datagen, grid, kernels
 from thresholdyn.autodiff import Tape
-from thresholdyn.datagen import disk_frame
 from thresholdyn.dynamics import DynParams, rollout, step
-from thresholdyn.grid import conv2d_same, measure
+from thresholdyn.grid import conv2d_same
 from thresholdyn.kernels import Kernel
 from thresholdyn.mbonet import MboModel
+
+from support import disk_frame, measure, soft_rollout
+
+DELTA3 = Kernel(np.pad([[1.0]], 1))
 
 
 def sigmoid_threshold(x, a, s):
@@ -43,7 +47,7 @@ def test_sigmoid_rejects_bad_steepness():
 def test_step_delta_kernel_identity():
     frame = np.zeros((9, 9))
     frame[2:7, 2:7] = 1.0
-    params = DynParams(kernels.delta(3), threshold=0.5)
+    params = DynParams(DELTA3, threshold=0.5)
     np.testing.assert_array_equal(step(frame, params), frame)
 
 
@@ -71,8 +75,8 @@ def test_step_soft_is_sigmoid_of_convolution():
     k = kernels.gaussian(5, sigma_x=1.0)
     model = MboModel(raw_kernel=k.grid, raw_threshold=float(logit(0.4)), steepness=50.0, layers=1)
 
-    expected = expit(50.0 * (conv2d_same(frame, k.grid, method="direct") - model.threshold))
-    np.testing.assert_array_equal(mbonet.forward_train(model, frame)[0], expected)
+    expected = expit(50.0 * (conv2d_same(frame, k.grid) - model.threshold))
+    np.testing.assert_array_equal(soft_rollout(model, frame)[0][0], expected)
 
 
 def test_rollout_base_case():
@@ -87,7 +91,7 @@ def test_rollout_base_case():
 def test_rollout_delta_kernel_fixed_point():
     frame = disk_frame(16, 4)
     for a in (0.1, 0.5, 0.9):
-        params = DynParams(kernels.delta(3), threshold=a)
+        params = DynParams(DELTA3, threshold=a)
         video = rollout(frame, params, n_steps=6)
         for t in range(7):
             np.testing.assert_array_equal(video[t], frame)
@@ -106,7 +110,7 @@ def test_rollout_mean_curvature_shrinkage_until_extinction():
 
 def test_rollout_rejects_zero_steps():
     with pytest.raises(ValueError):
-        rollout(disk_frame(8, 2), DynParams(kernels.delta(1), 0.5), n_steps=0)
+        rollout(disk_frame(8, 2), DynParams(Kernel(np.ones((1, 1))), 0.5), n_steps=0)
 
 
 def test_threshold_monotonicity_randomized():
@@ -138,12 +142,12 @@ def test_soft_approaches_hard_as_steepness_grows():
     # require convolution values to stay clear of the threshold along the
     # hard trajectory so the sigmoid limit is well-defined
     for f in hard[:-1]:
-        conv = conv2d_same(f, k.grid, method="direct")
+        conv = conv2d_same(f, k.grid)
         assert np.min(np.abs(conv - a)) >= 1e-3
     dists = []
     for s in (100.0, 1e4):
         model = MboModel(raw_kernel=k.grid, raw_threshold=float(logit(a)), steepness=s, layers=3)
-        soft = mbonet.forward_train(model, frame)
+        soft = soft_rollout(model, frame)[0]
         dists.append(np.max(np.abs(soft - hard[1:])))
     assert dists[1] < dists[0]
     assert dists[1] < 1e-3
@@ -171,7 +175,7 @@ def test_half_plane_quasi_stationary():
 
 def direct_step(frame, kernel, a):
     """The reference hard step: the direct sum, then the threshold."""
-    return (conv2d_same(frame, kernel, method="direct") >= a).astype(np.float64)
+    return (conv2d_same(frame, kernel) >= a).astype(np.float64)
 
 
 @st.composite
@@ -194,7 +198,7 @@ def step_cases(draw):
         frame = (rng.random((h, w)) < draw(st.floats(0.05, 0.95))).astype(np.float64)
     else:
         frame = rng.standard_normal((h, w))
-    values = conv2d_same(frame, kernel, method="direct")
+    values = conv2d_same(frame, kernel)
     inside = values[(values > 0) & (values < 1)]
     if inside.size:
         a = float(inside[draw(st.integers(0, inside.size - 1))])
@@ -207,8 +211,68 @@ def step_cases(draw):
 @given(case=step_cases())
 def test_step_is_the_direct_step_bit_for_bit(case):
     frame, kernel, a = case
-    got = step(frame, DynParams(Kernel(kernel, normalized=False), a))
+    got = step(frame, DynParams(Kernel(kernel), a))
     np.testing.assert_array_equal(got, direct_step(frame, kernel, a))
+
+
+def _binary_frame(draw, kernel_shape):
+    h, w = draw(st.integers(kernel_shape[0], 32)), draw(st.integers(kernel_shape[1], 32))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return (rng.random((h, w)) < draw(st.floats(0.05, 0.95))).astype(np.float64)
+
+
+def _threshold(draw, values, below):
+    """A threshold in (0, below): one of the frame's own direct values when
+    there is one, so that exact ties occur, or any float."""
+    inside = values[(values > 0) & (values < below)]
+    if inside.size and draw(st.booleans()):
+        return float(inside[draw(st.integers(0, inside.size - 1))])
+    return draw(st.floats(2.0**-20, below, exclude_max=True))
+
+
+@st.composite
+def rescaled_step_cases(draw):
+    """(frame, kernel, a, c): a binary frame, a float kernel, a power of two c
+    in 2**-3..2**3 and a with a and c*a in (0, 1).  Kernel entries are 0 or
+    above 2**-300 in modulus, so every partial sum of the direct step is 0 or
+    far from the subnormal range, where scaling by c is exact."""
+    shape = tuple(2 * draw(st.integers(0, 7)) + 1 for _ in range(2))
+    entry = st.floats(-4.0, 4.0).filter(lambda v: v == 0 or abs(v) > 2.0**-300)
+    kernel = draw(hnp.arrays(np.float64, shape, elements=entry))
+    frame = _binary_frame(draw, shape)
+    c = 2.0 ** draw(st.integers(-3, 3))
+    return frame, kernel, _threshold(draw, conv2d_same(frame, kernel), min(1.0, 1.0 / c)), c
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=rescaled_step_cases())
+def test_step_is_invariant_under_exact_rescaling(case):
+    frame, kernel, a, c = case
+    np.testing.assert_array_equal(step(frame, DynParams(Kernel(c * kernel), c * a)),
+                                  step(frame, DynParams(Kernel(kernel), a)))
+
+
+DIHEDRAL = [lambda g, k=k, flip=flip: np.rot90(g[:, ::-1] if flip else g, k)
+            for k in range(4) for flip in (False, True)]
+
+
+@st.composite
+def dyadic_step_cases(draw):
+    """(frame, kernel, a): a kernel of multiples of 1/64 in [-1, 1], whose
+    sums over any window are exact in any order."""
+    shape = tuple(2 * draw(st.integers(0, 7)) + 1 for _ in range(2))
+    kernel = draw(hnp.arrays(np.int64, shape, elements=st.integers(-64, 64))) / 64.0
+    frame = _binary_frame(draw, shape)
+    return frame, kernel, _threshold(draw, conv2d_same(frame, kernel), 1.0)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=dyadic_step_cases())
+def test_step_commutes_with_the_grid_symmetries(case):
+    frame, kernel, a = case
+    out = step(frame, DynParams(Kernel(kernel), a))
+    for g in DIHEDRAL:
+        np.testing.assert_array_equal(step(g(frame), DynParams(Kernel(g(kernel)), a)), g(out))
 
 
 def test_exact_ties_map_to_one():
@@ -218,8 +282,8 @@ def test_exact_ties_map_to_one():
     frame[:, :8] = 1.0
     kernel = np.zeros((3, 3))
     kernel[1, :2] = 0.5
-    out = step(frame, DynParams(Kernel(kernel, normalized=False), 0.5))
-    assert (conv2d_same(frame, kernel, method="direct") == 0.5).sum() == 32
+    out = step(frame, DynParams(Kernel(kernel), 0.5))
+    assert (conv2d_same(frame, kernel) == 0.5).sum() == 32
     np.testing.assert_array_equal(out, direct_step(frame, kernel, 0.5))
     assert out[:, 0].all() and out[:, 8].all()
 
@@ -236,7 +300,7 @@ def test_nonfinite_frame_or_kernel_gives_the_direct_result(bad):
     frame = (rng.random((20, 20)) > 0.5).astype(np.float64)
     kernel = kernel.copy()
     kernel[0, 3] = bad
-    np.testing.assert_array_equal(step(frame, DynParams(Kernel(kernel, normalized=False), 0.5)),
+    np.testing.assert_array_equal(step(frame, DynParams(Kernel(kernel), 0.5)),
                                   direct_step(frame, kernel, 0.5))
 
 
@@ -268,6 +332,6 @@ def test_spectral_gap_is_far_inside_the_tolerance(kernel_size, frame_size):
         for v in range(spec.videos_per_combo):
             sample = datagen.generate_sample(spec, combo, v)
             for frame in np.concatenate([sample.clean[:-1], sample.noisy]):
-                gap = np.abs(screen.value(frame) - conv2d_same(frame, combo.kernel.grid, "direct"))
+                gap = np.abs(screen.value(frame) - conv2d_same(frame, combo.kernel.grid))
                 worst = max(worst, gap.max() / screen.tolerance(frame))
     assert 0 < worst <= 1e-3

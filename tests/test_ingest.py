@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from thresholdyn.grid import measure
 from thresholdyn.ingest import (
     FIRE_DEFAULT_MASK,
     HsvMask,
@@ -22,6 +21,8 @@ from thresholdyn.ingest import (
     save_frame,
     save_video,
 )
+
+from support import measure
 
 
 def test_pgm_roundtrip_exact(tmp_path):

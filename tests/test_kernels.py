@@ -3,16 +3,12 @@
 import numpy as np
 import pytest
 
-from thresholdyn import kernels
 from thresholdyn.kernels import (
     Kernel,
-    delta,
     disk,
     double_gaussian,
     gaussian,
     gaussian_values,
-    is_well_formed,
-    normalize,
     raster,
 )
 
@@ -108,7 +104,7 @@ def test_disk_rejects_all_zero_and_misfit():
 def test_raster_delta():
     img = np.zeros((3, 3))
     img[1, 1] = 0.7
-    np.testing.assert_array_equal(raster(img).grid, delta(3).grid)
+    np.testing.assert_array_equal(raster(img).grid, img / 0.7)
 
 
 def test_raster_uniform():
@@ -128,14 +124,6 @@ def test_raster_rejects_all_zero():
         raster(np.zeros((5, 5)))
 
 
-def test_normalize_idempotent_bit_exact():
-    rng = np.random.default_rng(8)
-    k = normalize(rng.random((5, 5)))
-    again = normalize(k)
-    assert again is k
-    np.testing.assert_array_equal(again.grid, k.grid)
-
-
 def test_constructors_well_formed():
     rng = np.random.default_rng(9)
     ks = [
@@ -146,7 +134,8 @@ def test_constructors_well_formed():
         raster(rng.random((15, 15))),
     ]
     for k in ks:
-        assert is_well_formed(k), k
+        # the generated-kernel contract: nonnegative, unit sum to 1e-9
+        assert np.all(k.grid >= 0) and abs(k.grid.sum() - 1.0) <= 1e-9, k
 
 
 def test_kernel_rejects_even_grid():

@@ -8,16 +8,11 @@ import pytest
 from scipy.special import expit
 
 from thresholdyn import kernels, mbonet
-from thresholdyn.autodiff import gradcheck
-from thresholdyn.datagen import (
-    DatasetSpec,
-    SampleMeta,
-    VideoSample,
-    build_dataset,
-    disk_frame,
-)
+from thresholdyn.datagen import DatasetSpec, SampleMeta, VideoSample, build_dataset
 from thresholdyn.grid import conv2d_same
 from thresholdyn.mbonet import MboModel, TrainConfig, TrainingDiverged
+
+from support import disk_frame, gradcheck, soft_loss, soft_rollout
 
 
 def make_sample(clean, noisy=None, threshold=0.2):
@@ -33,9 +28,9 @@ def tiny_dataset(n_videos=4, size=16, n_frames=5, threshold=0.3, seed=3):
 
 
 def test_forward_train_delta_kernel_is_sigmoid_of_frame():
-    model = MboModel(raw_kernel=kernels.delta(3).grid, raw_threshold=0.0, steepness=100.0, layers=1)
+    model = MboModel(raw_kernel=np.pad([[1.0]], 1), raw_threshold=0.0, steepness=100.0, layers=1)
     frame = disk_frame(16, 4)
-    pred = mbonet.forward_train(model, frame, 1)[0]
+    pred = soft_rollout(model, frame)[0][0]
     # delta kernel: conv == frame; ones map to sigma(50), zeros to sigma(-50)
     expected = np.where(frame == 1.0, expit(50.0), expit(-50.0))
     np.testing.assert_allclose(pred, expected, atol=1e-12)
@@ -44,32 +39,32 @@ def test_forward_train_delta_kernel_is_sigmoid_of_frame():
 def test_forward_train_matches_three_soft_steps():
     model = MboModel.initialize(5, seed=1, steepness=80.0, layers=3)
     frame = disk_frame(16, 5)
-    preds = mbonet.forward_train(model, frame)
+    preds = soft_rollout(model, frame)[0]
     x = frame
     for i in range(3):
-        x = expit(80.0 * (conv2d_same(x, model.raw_kernel, method="direct") - model.threshold))
+        x = expit(80.0 * (conv2d_same(x, model.raw_kernel) - model.threshold))
         np.testing.assert_allclose(preds[i], x, atol=1e-9)
 
 
 def test_loss_zero_on_perfect_predictions():
-    model = MboModel(raw_kernel=kernels.delta(3).grid, raw_threshold=0.0, layers=3)
+    model = MboModel(raw_kernel=np.pad([[1.0]], 1), raw_threshold=0.0, layers=3)
     frame = disk_frame(16, 4)
-    preds = mbonet.forward_train(model, frame)
+    preds = soft_rollout(model, frame)[0]
     video = np.concatenate([frame[None], preds])
-    assert mbonet.loss(model, [make_sample(video)]) == pytest.approx(0.0, abs=1e-30)
+    assert soft_loss(model, [make_sample(video)]) == pytest.approx(0.0, abs=1e-30)
 
 
 def test_loss_single_pixel_arithmetic():
     # one video, L=1: a 2x2 target differing from the prediction by 1 in one
     # pixel gives loss 1/4
-    model = MboModel(raw_kernel=kernels.delta(1).grid, raw_threshold=0.0,
+    model = MboModel(raw_kernel=np.ones((1, 1)), raw_threshold=0.0,
                      steepness=100.0, layers=1)
     frame = np.zeros((2, 2))
-    pred = mbonet.forward_train(model, frame, 1)[0]
+    pred = soft_rollout(model, frame)[0][0]
     target = pred.copy()
     target[0, 0] += 1.0
     video = np.stack([frame, target])
-    assert mbonet.loss(model, [make_sample(video)]) == pytest.approx(0.25, rel=1e-12)
+    assert soft_loss(model, [make_sample(video)]) == pytest.approx(0.25, rel=1e-12)
 
 
 def test_loss_averages_over_videos():
@@ -80,8 +75,8 @@ def test_loss_averages_over_videos():
         (rng.random((3, 8, 8)) > 0.5).astype(float),
     ]
     samples = [make_sample(v) for v in videos]
-    separate = [mbonet.loss(model, [s]) for s in samples]
-    together = mbonet.loss(model, samples)
+    separate = [soft_loss(model, [s]) for s in samples]
+    together = soft_loss(model, samples)
     assert together == pytest.approx(np.mean(separate), rel=1e-12)
 
 
@@ -89,11 +84,11 @@ def test_loss_rejects_short_or_mismatched_videos():
     model = MboModel.initialize(3, layers=3)
     short = make_sample(np.zeros((2, 8, 8)))
     with pytest.raises(ValueError):
-        mbonet.loss(model, [short])
+        soft_loss(model, [short])
     a = make_sample(np.zeros((4, 8, 8)))
     b = make_sample(np.zeros((4, 6, 6)))
     with pytest.raises(ValueError):
-        mbonet.loss(model, [a, b])
+        soft_loss(model, [a, b])
 
 
 def test_training_graph_passes_gradcheck():
@@ -119,7 +114,7 @@ def test_training_graph_passes_gradcheck():
 
 
 def test_loss_of_initial_model_is_first_history_entry():
-    # loss() and train() build the same rollout graph.  Full batch, so the
+    # soft_loss and train() build the same rollout graph.  Full batch, so the
     # first epoch's loss is the initial model's, bit for bit.  Dataset seed 6
     # with 3 videos is one where a history of sum(v * |batch|) / n would be
     # off by the last bit, since (v * 3) / 3 need not equal v
@@ -127,7 +122,7 @@ def test_loss_of_initial_model_is_first_history_entry():
     model = MboModel.initialize(5, seed=2, steepness=cfg.steepness, layers=cfg.layers)
     for n_videos, seed in [(4, 3), (3, 6)]:
         ds = tiny_dataset(n_videos=n_videos, size=16, seed=seed)
-        assert mbonet.train(ds.samples, cfg).history == [mbonet.loss(model, ds.samples)]
+        assert mbonet.train(ds.samples, cfg).history == [soft_loss(model, ds.samples)]
 
 
 def test_train_reduces_loss_and_stays_in_unit_interval():
@@ -237,7 +232,7 @@ def test_train_divergence_aborts_with_epoch():
 
 
 def test_predict_delta_kernel_constant_video():
-    model = MboModel(raw_kernel=kernels.delta(3).grid, raw_threshold=0.0)
+    model = MboModel(raw_kernel=np.pad([[1.0]], 1), raw_threshold=0.0)
     frame = disk_frame(16, 4)
     video = mbonet.predict(model, frame, 6)
     assert video.shape == (7, 16, 16)
@@ -258,7 +253,7 @@ def test_predict_binarizes_when_steep_and_clear_of_threshold():
     res = mbonet.train(ds.samples, TrainConfig(epochs=60, kernel_size=5, seed=1))
     frame = ds.samples[0].clean[0]
     hard = mbonet.predict(res.model, frame, 1)[1]
-    soft = mbonet.forward_train(res.model, frame, 1)[0]
+    soft = soft_rollout(res.model, frame)[0][0]
     # from a shared input, hard and soft agree wherever the convolution is
     # clear of the threshold (sigma saturates)
     from thresholdyn.grid import conv2d_same

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thresholdyn import metanet
-from thresholdyn.autodiff import Tape, gradcheck
+from thresholdyn.autodiff import Tape
 from thresholdyn.datagen import DatasetSpec, build_dataset
 from thresholdyn.mbonet import TrainConfig, rollout_graph
 from thresholdyn.metanet import (
@@ -13,9 +13,10 @@ from thresholdyn.metanet import (
     _encoder_graph,
     _weight_nodes,
     encode,
-    forward_train,
     predict,
 )
+
+from support import disk_frame, gradcheck, soft_loss, soft_rollout
 
 TINY = (4, 6, 6)
 
@@ -75,7 +76,7 @@ def test_encoding_ignores_empty_background_around_the_front():
     # video in a larger empty frame (offset by the stack's total stride of 8)
     # leaves the encoding unchanged; a whole-frame mean would dilute it
     from thresholdyn import kernels
-    from thresholdyn.datagen import disk_frame, generate_video
+    from thresholdyn.datagen import generate_video
 
     model = tiny_model()
     video = generate_video(disk_frame(48, 4.0), kernels.gaussian(5, sigma_x=1.0), 0.3, 4)
@@ -110,26 +111,26 @@ def test_forward_train_matches_mbonet_rollout_with_encoded_params():
     model = tiny_model()
     sample = ds.samples[0]
     kernel, a = encode(model, sample.noisy[:4])
-    preds = forward_train(model, sample)
+    preds = soft_rollout(model, sample.noisy[None, :4])[0][:, 0]
     raw_threshold = np.log(a / (1.0 - a))
     mbo = mbonet.MboModel(raw_kernel=kernel, raw_threshold=raw_threshold,
                           steepness=model.steepness, layers=3)
-    expected = mbonet.forward_train(mbo, sample.noisy[0])
+    expected = soft_rollout(mbo, sample.noisy[0])[0]
     np.testing.assert_allclose(preds, expected, atol=1e-9)
 
 
 def test_loss_is_mse_of_forward_train_predictions():
     # definitional consistency: the training loss equals the summed per-frame
-    # mean squared error of forward_train's soft predictions, hence exactly 0
+    # mean squared error of the rollout's soft predictions, hence exactly 0
     # whenever those predictions match the targets
     ds = tiny_dataset()
     model = tiny_model()
     sample = ds.samples[0]
-    preds = forward_train(model, sample)
+    preds = soft_rollout(model, sample.noisy[None, :4])[0][:, 0]
     expected = sum(
         float(((p - t) ** 2).mean()) for p, t in zip(preds, sample.noisy[1:4])
     )
-    assert metanet.loss(model, [sample]) == pytest.approx(expected, rel=1e-12)
+    assert soft_loss(model, [sample]) == pytest.approx(expected, rel=1e-12)
     zero = sum(float(((p - t) ** 2).mean()) for p, t in zip(preds, preds))
     assert zero == 0.0
 
@@ -203,21 +204,19 @@ def test_warmup_freezes_only_the_kernel_mass_in_minibatch_training():
 
 
 def test_loss_of_initial_model_is_first_history_entry():
-    # loss() and train() build the same graph; see the mbonet test of the
+    # soft_loss and train() build the same graph; see the mbonet test of the
     # same name for why a 3-video batch (dataset seed 8) is included
     cfg = TrainConfig(epochs=1, kernel_size=5, seed=3)
     model = MetaModel(encoder=MetaEncoder.initialize(5, seed=3, channels=TINY),
                       steepness=cfg.steepness, layers=cfg.layers)
     for n_combos, videos, seed in [(2, 2, 4), (3, 1, 8)]:
         ds = tiny_dataset(n_combos=n_combos, videos=videos, seed=seed)
-        expected = metanet.loss(model, ds.samples)
+        expected = soft_loss(model, ds.samples)
         assert metanet.train(ds.samples, cfg, channels=TINY).history == [expected]
 
 
 def test_rollout_stage_has_no_parameters():
     model = tiny_model()
-    encoder_count = model.encoder.parameter_count()
-    assert model.parameter_count() == encoder_count
     ds = tiny_dataset(videos=1)
     sample = ds.samples[0]
     frames = np.stack([sample.noisy[:4]])
