@@ -5,6 +5,13 @@ backward is a single reverse sweep visiting each node exactly once.  Values
 are float64 numpy arrays (0-d for scalars).  One tape per training step;
 tapes are not shared across threads.
 
+A tape takes one backward sweep.  Once the sweep has pushed a node's gradient
+to its parents, it releases the node's vjp closure (and with it the input
+spectra and other forward state the closure holds) and, unless the node is a
+parameter leaf, its gradient.  So the sweep holds only what the remaining
+adjoint steps read.  Forward values stay.  A second ``backward`` on the spent
+tape raises ``RuntimeError``.
+
 Only nodes that lead back to a parameter leaf are differentiated: a node's
 ``requires_grad`` is derived when it is built (a param, or any parent with
 it), a node without it keeps no vjp, and backward never pushes a gradient
@@ -54,6 +61,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self._spent = False
 
     def _push(self, node: Node) -> Node:
         self.nodes.append(node)
@@ -331,17 +339,27 @@ class Tape:
     def backward(self, loss: Node) -> dict[Node, np.ndarray]:
         """Reverse sweep from a scalar loss; returns gradients for every
         parameter leaf (zero for params the loss does not reach).  Only
-        nodes with ``requires_grad`` receive a gradient; the others keep
-        ``grad`` None."""
+        nodes with ``requires_grad`` receive a gradient.
+
+        Once a node's vjp has pushed its gradient to the parents, the node
+        drops its ``vjp`` and, unless it is a parameter leaf, its ``grad``:
+        after the sweep every node it passed through has ``vjp`` None and
+        only parameter leaves keep a ``grad``.  So the tape is spent, and a
+        second call raises ``RuntimeError``."""
         if loss.value.ndim != 0:
             raise ValueError(f"loss must be scalar, got shape {loss.shape}")
-        for node in self.nodes:
-            node.grad = None
+        if self._spent:
+            raise RuntimeError("backward already ran on this tape; build a new tape")
+        self._spent = True
         loss.grad = np.asarray(1.0)
         for node in reversed(self.nodes):
             if node.grad is None or node.vjp is None:
                 continue
-            for parent, g in zip(node.parents, node.vjp(node.grad)):
+            parent_grads = node.vjp(node.grad)
+            node.vjp = None
+            if not node.is_param:
+                node.grad = None
+            for parent, g in zip(node.parents, parent_grads):
                 if parent.requires_grad:
                     parent.grad = g if parent.grad is None else parent.grad + g
         return {

@@ -51,7 +51,7 @@ class MetaEncoder:
     for the k*k kernel values and the (sigmoid-squashed) threshold."""
 
     kernel_size: PositiveOddInt
-    channels: tuple[int, int, int] = (16, 32, 32)
+    channels: tuple[PositiveInt, PositiveInt, PositiveInt] = (16, 32, 32)
     weights: dict[str, np.ndarray] = field(default_factory=dict, repr=False)
 
     @classmethod
@@ -61,6 +61,8 @@ class MetaEncoder:
         unit-sum gaussian (sigma = k/6) and the threshold head's bias at 0."""
         if kernel_size % 2 == 0:
             raise ValueError("kernel_size must be odd")
+        if any(c <= 0 for c in channels):
+            raise ValueError(f"channels must be positive, got {tuple(channels)}")
         rng = make_rng(seed, 0xE0)
         enc = cls(kernel_size=kernel_size, channels=tuple(channels))
         for name, shape in _weight_shapes(kernel_size, enc.channels).items():

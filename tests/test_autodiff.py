@@ -204,6 +204,34 @@ def test_backward_rejects_non_scalar_loss():
         tape.backward(y)
 
 
+@pytest.mark.parametrize("k_size", [5, 17], ids=["direct", "fft"])
+def test_backward_releases_each_vjp_and_intermediate_gradient(k_size):
+    rng = np.random.default_rng(14)
+    tape = Tape()
+    k = tape.leaf(rng.normal(size=(k_size, k_size)) * 0.05, param=True)
+    a = tape.leaf(np.asarray(0.2), param=True)
+    y = tape.leaf(rng.random((2, 20, 20)))
+    for _ in range(3):
+        y = tape.sigmoid_threshold(tape.conv2d_same(y, k), a, s=5.0)
+    loss = tape.mse_loss(y, rng.random((2, 20, 20)))
+    passed = [n for n in tape.nodes if n.requires_grad and not n.is_param]
+    assert len(passed) == 7 and all(n.vjp is not None for n in passed)
+    grads = tape.backward(loss)
+    assert all(n.vjp is None and n.grad is None for n in passed)
+    assert set(grads) == {k, a}
+    assert grads[k] is k.grad and grads[a] is a.grad
+    assert np.any(grads[k] != 0) and grads[a] != 0
+
+
+def test_second_backward_on_a_tape_raises():
+    tape = Tape()
+    x = tape.leaf(np.ones(3), param=True)
+    loss = tape.mse_loss(tape.relu(x), np.zeros(3))
+    tape.backward(loss)
+    with pytest.raises(RuntimeError):
+        tape.backward(loss)
+
+
 def test_unreached_param_gets_zero_gradient():
     tape = Tape()
     used = tape.leaf(np.ones(3), param=True)
@@ -394,4 +422,5 @@ def test_requires_grad_is_derived_from_params():
     assert p.requires_grad and mixed.requires_grad
     tape.backward(tape.mse_loss(mixed, np.zeros(3)))
     assert c.grad is None and constant.grad is None
-    assert mixed.grad is not None and p.grad is not None
+    assert p.grad is not None
+    assert mixed.grad is None  # released once pushed to its parents

@@ -302,13 +302,16 @@ def _single_error(capsys) -> str:
     ("gen", "dataset", {"n_combos": 2, "families": []}, "thresholds and families must each"),
     ("gen", "dataset", {"train_fraction": 1.5}, "train_fraction must lie in [0, 1], got 1.5"),
     ("gen", "dataset", {"n_test": -2}, "n_test must be >= 0, got -2"),
+    ("train", "model", {"kind": "meta", "channels": [0, 4, 4]}, "[model] 'channels' is [0, 4, 4]"),
+    ("train", "model", {"kind": "meta", "channels": [-2, 4, 4]},
+     "[model] 'channels' is [-2, 4, 4]"),
 ], ids=["gen-thresholds-string", "gen-frame-size-string", "gen-threshold-not-a-number",
         "train-epochs-string", "train-epochs-bool", "train-steepness-infinite",
         "preprocess-blur-size-string",
         "preprocess-unknown-mask-key", "gen-frame-size-zero", "train-layers-zero",
         "train-batch-size-negative", "gen-kernel-size-negative", "train-kernel-size-negative",
         "gen-no-thresholds", "gen-no-families", "gen-train-fraction-above-one",
-        "gen-n-test-negative"])
+        "gen-n-test-negative", "train-meta-channel-zero", "train-meta-channel-negative"])
 def test_config_value_of_the_wrong_type_errors(tmp_path, capsys, command, section, values,
                                                needle):
     cfg = str(tiny_config(tmp_path, **{section: values}))

@@ -59,6 +59,12 @@ def test_encode_rejects_missing_frames():
         encode(model, np.zeros((3, 16, 16)))
 
 
+@pytest.mark.parametrize("channels", [(0, 4, 4), (-2, 4, 4)])
+def test_initialize_rejects_non_positive_channels(channels):
+    with pytest.raises(ValueError, match="channels must be positive"):
+        MetaEncoder.initialize(5, channels=channels)
+
+
 def test_encoding_independent_of_other_samples():
     # the encoder is a per-sample function: batching videos together in
     # training order must not change any individual encoding
